@@ -8,25 +8,22 @@
 // identical edges, shortening the bucket.  The buckets then are copied
 // back out into the original graph's storage, filling in the i values."
 //
-// Synchronization is one atomic fetch-and-add per edge (bucket placement)
-// plus the prefix sums computing bucket offsets; no locks, no linked
-// lists — which is what made the OpenMP port feasible.  Uses the extra
-// |E|-ish scratch the paper budgets (|V| + 1 + 2|E| words).
+// The matching is turned into dense labels (matching_labels) and the
+// graph is contracted by the label-keyed kernel (contract_by_labels),
+// which runs exactly those passes.  Where the paper synchronizes with
+// one atomic fetch-and-add per edge, the kernel counts and scatters
+// through chunk-private histograms (see label_contractor.hpp).
 #pragma once
 
-#include <algorithm>
-#include <atomic>
-#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "commdet/contract/label_contractor.hpp"
 #include "commdet/contract/relabel.hpp"
 #include "commdet/graph/community_graph.hpp"
 #include "commdet/match/matching.hpp"
 #include "commdet/obs/metrics.hpp"
-#include "commdet/util/parallel.hpp"
-#include "commdet/util/prefix_sum.hpp"
 #include "commdet/util/types.hpp"
 
 namespace commdet {
@@ -42,135 +39,11 @@ class BucketSortContractor {
  public:
   [[nodiscard]] ContractionResult<V> contract(const CommunityGraph<V>& g,
                                               const Matching<V>& m) const {
-    auto rel = relabel_matched(g, m);
-    const EdgeId ne = g.num_edges();
-    const auto new_nv = static_cast<std::int64_t>(rel.new_nv);
-
-    CommunityGraph<V> out;
-    out.nv = rel.new_nv;
-    out.volume = std::move(rel.volume);
-    out.self_weight = std::move(rel.self_weight);
-    out.total_weight = g.total_weight;
-
-    // Sharded counters, resolved once (null when metrics are disabled);
-    // per-edge adds from inside the parallel passes touch thread-local
-    // cache lines only.
-    obs::Counter* c_self_folded = obs::counter("contract.self_edges_folded");
-    obs::Counter* c_edges_in = obs::counter("contract.edges_in");
-    obs::Counter* c_edges_out = obs::counter("contract.edges_out");
-    obs::Counter* c_bytes = obs::counter("contract.scratch_bytes_moved");
-
-    // Pass 1: relabel endpoints; edges inside a new community fold into
-    // its self weight, the rest are counted toward their new bucket.
-    std::vector<EdgeId> counts(static_cast<std::size_t>(new_nv) + 1, 0);
-    parallel_for(ne, [&](std::int64_t e) {
-      const auto i = static_cast<std::size_t>(e);
-      const V a = rel.new_label[static_cast<std::size_t>(g.efirst[i])];
-      const V b = rel.new_label[static_cast<std::size_t>(g.esecond[i])];
-      if (a == b) {
-        std::atomic_ref<Weight>(out.self_weight[static_cast<std::size_t>(a)])
-            .fetch_add(g.eweight[i], std::memory_order_relaxed);
-        if (c_self_folded != nullptr) c_self_folded->add(1);
-        return;
-      }
-      const auto [f, s] = hashed_edge_order(a, b);
-      std::atomic_ref<EdgeId>(counts[static_cast<std::size_t>(f)])
-          .fetch_add(1, std::memory_order_relaxed);
-    });
-
-    // Bucket offsets by prefix sum; scatter cursors are atomic fetch-adds.
-    const EdgeId live = exclusive_prefix_sum(std::span<EdgeId>(counts));
-    std::vector<EdgeId> cursor(counts.begin(), counts.end() - 1);
-
-    // Pass 2: scatter (second; weight) into the first-vertex buckets, the
-    // first vertex left implicit in the bucket index.
-    std::vector<V> tmp_second(static_cast<std::size_t>(live));
-    std::vector<Weight> tmp_weight(static_cast<std::size_t>(live));
-    parallel_for(ne, [&](std::int64_t e) {
-      const auto i = static_cast<std::size_t>(e);
-      const V a = rel.new_label[static_cast<std::size_t>(g.efirst[i])];
-      const V b = rel.new_label[static_cast<std::size_t>(g.esecond[i])];
-      if (a == b) return;
-      const auto [f, s] = hashed_edge_order(a, b);
-      const EdgeId at = std::atomic_ref<EdgeId>(cursor[static_cast<std::size_t>(f)])
-                            .fetch_add(1, std::memory_order_relaxed);
-      tmp_second[static_cast<std::size_t>(at)] = s;
-      tmp_weight[static_cast<std::size_t>(at)] = g.eweight[i];
-    });
-
-    // Pass 3: per-bucket sort by second vertex and accumulate identical
-    // edges in place, shortening the bucket.
-    std::vector<EdgeId> new_len(static_cast<std::size_t>(new_nv), 0);
-    ExceptionCollector errors;
-#pragma omp parallel
-    {
-      std::vector<std::pair<V, Weight>> scratch;
-#pragma omp for schedule(dynamic, 64)
-      for (std::int64_t v = 0; v < new_nv; ++v) {
-        if (errors.armed()) continue;
-        errors.run([&] {
-          const EdgeId bb = counts[static_cast<std::size_t>(v)];
-          const EdgeId be = counts[static_cast<std::size_t>(v) + 1];
-          if (bb == be) return;
-          scratch.clear();
-          for (EdgeId k = bb; k < be; ++k)
-            scratch.emplace_back(tmp_second[static_cast<std::size_t>(k)],
-                                 tmp_weight[static_cast<std::size_t>(k)]);
-          std::sort(scratch.begin(), scratch.end(),
-                    [](const auto& x, const auto& y) { return x.first < y.first; });
-          EdgeId w = bb;  // write cursor back into the bucket
-          for (std::size_t r = 0; r < scratch.size(); ++r) {
-            if (r > 0 && scratch[r].first == tmp_second[static_cast<std::size_t>(w - 1)]) {
-              tmp_weight[static_cast<std::size_t>(w - 1)] += scratch[r].second;
-            } else {
-              tmp_second[static_cast<std::size_t>(w)] = scratch[r].first;
-              tmp_weight[static_cast<std::size_t>(w)] = scratch[r].second;
-              ++w;
-            }
-          }
-          new_len[static_cast<std::size_t>(v)] = w - bb;
-        });
-      }
-    }
-    errors.rethrow_if_armed();
-
-    // Pass 4: copy the shortened buckets back out contiguously, filling in
-    // the implicit first vertex.
-    std::vector<EdgeId> final_off(new_len.begin(), new_len.end());
-    final_off.push_back(0);
-    const EdgeId final_ne = exclusive_prefix_sum(std::span<EdgeId>(final_off));
-    out.efirst.resize(static_cast<std::size_t>(final_ne));
-    out.esecond.resize(static_cast<std::size_t>(final_ne));
-    out.eweight.resize(static_cast<std::size_t>(final_ne));
-    parallel_for_dynamic(new_nv, [&](std::int64_t v) {
-      const EdgeId src = counts[static_cast<std::size_t>(v)];
-      const EdgeId dst = final_off[static_cast<std::size_t>(v)];
-      const EdgeId len = new_len[static_cast<std::size_t>(v)];
-      for (EdgeId k = 0; k < len; ++k) {
-        out.efirst[static_cast<std::size_t>(dst + k)] = static_cast<V>(v);
-        out.esecond[static_cast<std::size_t>(dst + k)] =
-            tmp_second[static_cast<std::size_t>(src + k)];
-        out.eweight[static_cast<std::size_t>(dst + k)] =
-            tmp_weight[static_cast<std::size_t>(src + k)];
-      }
-    });
-
-    out.bucket_begin.assign(final_off.begin(), final_off.end() - 1);
-    out.bucket_end.assign(static_cast<std::size_t>(new_nv), 0);
-    parallel_for(new_nv, [&](std::int64_t v) {
-      out.bucket_end[static_cast<std::size_t>(v)] =
-          final_off[static_cast<std::size_t>(v)] + new_len[static_cast<std::size_t>(v)];
-    });
-
-    if (c_edges_in != nullptr) c_edges_in->add(ne);
-    if (c_edges_out != nullptr) c_edges_out->add(static_cast<std::int64_t>(final_ne));
-    if (c_bytes != nullptr) {
-      // Scratch traffic: scatter into (second, weight) and the copy back.
-      const auto per_edge = static_cast<std::int64_t>(sizeof(V) + sizeof(Weight));
-      c_bytes->add(2 * per_edge * static_cast<std::int64_t>(live));
-    }
-
-    return {std::move(out), std::move(rel.new_label)};
+    auto labels = matching_labels(m);
+    auto graph = contract_by_labels(g, std::span<const V>(labels.label), labels.num_labels);
+    if (obs::Counter* c = obs::counter("contract.edges_in")) c->add(g.num_edges());
+    if (obs::Counter* c = obs::counter("contract.edges_out")) c->add(graph.num_edges());
+    return {std::move(graph), std::move(labels.label)};
   }
 };
 

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "commdet/contract/bucket_sort_contractor.hpp"  // ContractionResult
+#include "commdet/contract/label_contractor.hpp"
 #include "commdet/contract/relabel.hpp"
 #include "commdet/graph/community_graph.hpp"
 #include "commdet/match/matching.hpp"
@@ -131,33 +132,9 @@ class HashChainContractor {
 
     // Library invariant: buckets sorted by second vertex.  (Baseline code
     // path — the extra sort is irrelevant to what the ablation measures.)
-    ExceptionCollector errors;
-#pragma omp parallel
-    {
-      std::vector<std::pair<V, Weight>> scratch;
-#pragma omp for schedule(dynamic, 64)
-      for (std::int64_t v = 0; v < new_nv; ++v) {
-        if (errors.armed()) continue;
-        errors.run([&] {
-          const EdgeId bb = out.bucket_begin[static_cast<std::size_t>(v)];
-          const EdgeId be = out.bucket_end[static_cast<std::size_t>(v)];
-          if (be - bb < 2) return;
-          scratch.clear();
-          for (EdgeId k = bb; k < be; ++k)
-            scratch.emplace_back(out.esecond[static_cast<std::size_t>(k)],
-                                 out.eweight[static_cast<std::size_t>(k)]);
-          std::sort(scratch.begin(), scratch.end(),
-                    [](const auto& x, const auto& y) { return x.first < y.first; });
-          for (EdgeId k = bb; k < be; ++k) {
-            out.esecond[static_cast<std::size_t>(k)] =
-                scratch[static_cast<std::size_t>(k - bb)].first;
-            out.eweight[static_cast<std::size_t>(k)] =
-                scratch[static_cast<std::size_t>(k - bb)].second;
-          }
-        });
-      }
-    }
-    errors.rethrow_if_armed();
+    // Keys are already unique, so no bucket shortens.
+    sort_and_accumulate_buckets<V>(std::span<const EdgeId>(counts), 0,
+                                   std::span<V>(out.esecond), std::span<Weight>(out.eweight));
 
     return {std::move(out), std::move(rel.new_label)};
   }

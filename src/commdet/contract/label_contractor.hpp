@@ -1,19 +1,21 @@
 // Label-keyed contraction: collapses a graph by an arbitrary dense
-// labeling instead of a matching.
+// labeling.  This is the library's one contraction kernel.
 //
-// This is the paper's bucket-sort contraction generalized from "each
-// community absorbs at most one partner" to "any vertex -> community
-// map": counting pass, scatter into first-vertex buckets, per-bucket
-// sort-and-accumulate, contiguous copy-back.  The result costs
-// O(E + buckets) instead of the O(E log E) edge-list rebuild, and every
-// placement invariant of CommunityGraph (hashed edge order, sorted
+// It is the paper's bucket-sort contraction (Sec. IV-C) generalized from
+// "each community absorbs at most one partner" to "any vertex ->
+// community map": counting pass, scatter into first-vertex buckets,
+// per-bucket sort-and-accumulate, contiguous copy-back.  The result
+// costs O(E + buckets) instead of the O(E log E) edge-list rebuild, and
+// every placement invariant of CommunityGraph (hashed edge order, sorted
 // buckets) holds by construction.
 //
-// Two subsystems share it: the dyn/ warm-start path (contract the
-// surviving assignment into a seeded community graph) and the parallel
-// Louvain backend (aggregate a level's local-move labeling into the
-// next coarser graph).  Keeping one implementation is the point — the
-// aggregation step of Louvain IS a seeded contraction.
+// Every unsharded contraction runs it: the per-level matching
+// contractor (BucketSortContractor relabels the matching and calls
+// it), the dyn/ warm start (contract the surviving assignment into a
+// seeded community graph) and the parallel Louvain backend (aggregate a
+// level's local-move labeling into the next coarser graph).  The
+// per-bucket sort-and-accumulate step is also the sort step of the
+// sharded contraction (shard/shard_contract.hpp).
 #pragma once
 
 #include <algorithm>
@@ -30,10 +32,59 @@
 
 namespace commdet {
 
+/// Pass 3 of every bucket-sort contraction: bucket v holds the
+/// (second; weight) entries [off[v] - base, off[v + 1] - base) of
+/// `second` / `weight` (`off` has one entry more than there are buckets).  Sorts each bucket by second vertex and sums
+/// duplicate seconds in place, shortening it; returns the new lengths.
+/// Sorting canonicalizes the layout, so the output does not depend on
+/// the order the entries were scattered in.
+template <VertexId V>
+std::vector<EdgeId> sort_and_accumulate_buckets(std::span<const EdgeId> off, EdgeId base,
+                                                std::span<V> second,
+                                                std::span<Weight> weight) {
+  const auto nb = static_cast<std::int64_t>(off.size()) - 1;
+  std::vector<EdgeId> new_len(static_cast<std::size_t>(nb), 0);
+  ExceptionCollector errors;
+#pragma omp parallel
+  {
+    std::vector<std::pair<V, Weight>> scratch;
+#pragma omp for schedule(dynamic, 64)
+    for (std::int64_t v = 0; v < nb; ++v) {
+      if (errors.armed()) continue;
+      errors.run([&] {
+        const EdgeId bb = off[static_cast<std::size_t>(v)] - base;
+        const EdgeId be = off[static_cast<std::size_t>(v) + 1] - base;
+        if (bb == be) return;
+        scratch.clear();
+        for (EdgeId k = bb; k < be; ++k)
+          scratch.emplace_back(second[static_cast<std::size_t>(k)],
+                               weight[static_cast<std::size_t>(k)]);
+        std::sort(scratch.begin(), scratch.end(),
+                  [](const auto& x, const auto& y) { return x.first < y.first; });
+        EdgeId w = bb;  // write cursor back into the bucket
+        for (std::size_t r = 0; r < scratch.size(); ++r) {
+          if (r > 0 && scratch[r].first == second[static_cast<std::size_t>(w - 1)]) {
+            weight[static_cast<std::size_t>(w - 1)] += scratch[r].second;
+          } else {
+            second[static_cast<std::size_t>(w)] = scratch[r].first;
+            weight[static_cast<std::size_t>(w)] = scratch[r].second;
+            ++w;
+          }
+        }
+        new_len[static_cast<std::size_t>(v)] = w - bb;
+      });
+    }
+  }
+  errors.rethrow_if_armed();
+  return new_len;
+}
+
 /// Contracts `base` by the dense labeling `labels` (values in
 /// [0, num_labels)): every label class becomes one vertex carrying its
 /// members' collapsed internal weight as a self-loop; volumes and total
 /// weight are preserved exactly (both are additive under contraction).
+/// Weights are integers, so the output is bit-identical at any thread
+/// count.
 template <VertexId V>
 [[nodiscard]] CommunityGraph<V> contract_by_labels(const CommunityGraph<V>& base,
                                                    std::span<const V> labels,
@@ -60,16 +111,20 @@ template <VertexId V>
   });
 
   // Passes 1-2: count surviving (cross-community) edges per first
-  // bucket, then scatter (second; weight) into the buckets.  Unlike the
-  // per-level matching contractor, the input here is a *full* graph and
-  // most of its weight lands on a handful of targets — every intra-
-  // community edge of a big label class folds into one self-weight
-  // slot, and hub buckets draw millions of placements — so atomic
-  // fetch-adds on shared counters serialize.  Instead the edge range is
-  // cut into fixed chunks with private histograms; a per-bucket prefix
-  // over the chunks turns them into private cursors, and the scatter
-  // runs without a single atomic.
-  const std::int64_t nchunks = std::max(1, omp_get_max_threads());
+  // bucket, then scatter (second; weight) into the buckets.  Per-edge
+  // atomic fetch-adds on shared counters (the paper's formulation)
+  // serialize wherever placements pile onto few targets — every
+  // intra-community edge of a big class folds into one self-weight slot,
+  // and hub buckets draw millions of placements — and cost a locked
+  // read-modify-write per edge even when they do not.  Instead the edge
+  // range is cut into chunks with private histograms; a per-bucket
+  // prefix over the chunks turns them into private cursors, and the
+  // scatter runs without a single atomic.  The chunk count is capped at
+  // ne / num_labels, so the histograms hold at most one count and one
+  // self-weight slot per input edge whatever the thread count.
+  const std::int64_t nchunks = std::clamp<std::int64_t>(
+      static_cast<std::int64_t>(ne) / std::max<std::int64_t>(num_labels, 1), 1,
+      std::max(1, omp_get_max_threads()));
   const auto chunk_begin = [&](std::int64_t c) {
     return static_cast<EdgeId>((static_cast<std::int64_t>(ne) * c) / nchunks);
   };
@@ -111,6 +166,7 @@ template <VertexId V>
     counts[bi] = total;
     out.self_weight[bi] += sw;
   });
+  chunk_self.clear();  // released before the scatter scratch is allocated
 
   const EdgeId live = exclusive_prefix_sum(std::span<EdgeId>(counts));
 
@@ -131,43 +187,15 @@ template <VertexId V>
       tmp_weight[static_cast<std::size_t>(at)] = base.eweight[ii];
     }
   }, /*chunk=*/1);
+  chunk_count.clear();
 
   // Pass 3: per-bucket sort by second vertex, accumulating duplicates.
-  std::vector<EdgeId> new_len(static_cast<std::size_t>(num_labels), 0);
-  ExceptionCollector errors;
-#pragma omp parallel
-  {
-    std::vector<std::pair<V, Weight>> scratch;
-#pragma omp for schedule(dynamic, 64)
-    for (std::int64_t v = 0; v < num_labels; ++v) {
-      if (errors.armed()) continue;
-      errors.run([&] {
-        const EdgeId bb = counts[static_cast<std::size_t>(v)];
-        const EdgeId be = counts[static_cast<std::size_t>(v) + 1];
-        if (bb == be) return;
-        scratch.clear();
-        for (EdgeId k = bb; k < be; ++k)
-          scratch.emplace_back(tmp_second[static_cast<std::size_t>(k)],
-                               tmp_weight[static_cast<std::size_t>(k)]);
-        std::sort(scratch.begin(), scratch.end(),
-                  [](const auto& x, const auto& y) { return x.first < y.first; });
-        EdgeId w = bb;
-        for (std::size_t r = 0; r < scratch.size(); ++r) {
-          if (r > 0 && scratch[r].first == tmp_second[static_cast<std::size_t>(w - 1)]) {
-            tmp_weight[static_cast<std::size_t>(w - 1)] += scratch[r].second;
-          } else {
-            tmp_second[static_cast<std::size_t>(w)] = scratch[r].first;
-            tmp_weight[static_cast<std::size_t>(w)] = scratch[r].second;
-            ++w;
-          }
-        }
-        new_len[static_cast<std::size_t>(v)] = w - bb;
-      });
-    }
-  }
-  errors.rethrow_if_armed();
+  const auto new_len = sort_and_accumulate_buckets<V>(
+      std::span<const EdgeId>(counts), 0, std::span<V>(tmp_second),
+      std::span<Weight>(tmp_weight));
 
-  // Pass 4: copy the shortened buckets out contiguously.
+  // Pass 4: copy the shortened buckets out contiguously, filling in the
+  // implicit first vertex.
   std::vector<EdgeId> final_off(new_len.begin(), new_len.end());
   final_off.push_back(0);
   const EdgeId final_ne = exclusive_prefix_sum(std::span<EdgeId>(final_off));

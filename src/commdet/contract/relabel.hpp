@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "commdet/graph/community_graph.hpp"
@@ -20,6 +21,39 @@
 #include "commdet/util/types.hpp"
 
 namespace commdet {
+
+template <VertexId V>
+struct MatchingLabels {
+  V num_labels = 0;
+  std::vector<V> label;  // old vertex -> new vertex
+};
+
+/// Dense labels of a matching: leaders are min(u, mate[u]) (unmatched
+/// vertices lead themselves) and new ids are dense in leader order.
+/// Every matching contractor, sharded or not, relabels through here.
+template <VertexId V>
+[[nodiscard]] MatchingLabels<V> matching_labels(const Matching<V>& m) {
+  const auto nv = static_cast<std::int64_t>(m.mate.size());
+  const auto leader = [&](std::int64_t v) {
+    const V p = m.mate[static_cast<std::size_t>(v)];
+    return (p == kNoVertex<V> || p > static_cast<V>(v)) ? v : static_cast<std::int64_t>(p);
+  };
+
+  std::vector<std::int64_t> new_id(static_cast<std::size_t>(nv), 0);
+  parallel_for(nv, [&](std::int64_t v) {
+    new_id[static_cast<std::size_t>(v)] = leader(v) == v ? 1 : 0;
+  });
+  const std::int64_t num = exclusive_prefix_sum(std::span<std::int64_t>(new_id));
+
+  MatchingLabels<V> out;
+  out.num_labels = static_cast<V>(num);
+  out.label.assign(static_cast<std::size_t>(nv), kNoVertex<V>);
+  parallel_for(nv, [&](std::int64_t v) {
+    out.label[static_cast<std::size_t>(v)] =
+        static_cast<V>(new_id[static_cast<std::size_t>(leader(v))]);
+  });
+  return out;
+}
 
 template <VertexId V>
 struct RelabelResult {
@@ -35,30 +69,13 @@ template <VertexId V>
 [[nodiscard]] RelabelResult<V> relabel_matched(const CommunityGraph<V>& g,
                                                const Matching<V>& m) {
   const auto nv = static_cast<std::int64_t>(g.nv);
-
-  std::vector<std::int64_t> leader_flag(static_cast<std::size_t>(nv), 0);
-  parallel_for(nv, [&](std::int64_t v) {
-    const V p = m.mate[static_cast<std::size_t>(v)];
-    leader_flag[static_cast<std::size_t>(v)] =
-        (p == kNoVertex<V> || p > static_cast<V>(v)) ? 1 : 0;
-  });
-  std::vector<std::int64_t> new_id(leader_flag);
-  const std::int64_t new_nv = exclusive_prefix_sum(std::span<std::int64_t>(new_id));
+  auto labels = matching_labels(m);
 
   RelabelResult<V> out;
-  out.new_nv = static_cast<V>(new_nv);
-  out.new_label.assign(static_cast<std::size_t>(nv), kNoVertex<V>);
-  parallel_for(nv, [&](std::int64_t v) {
-    const V p = m.mate[static_cast<std::size_t>(v)];
-    const std::int64_t lead = (p == kNoVertex<V> || p > static_cast<V>(v))
-                                  ? v
-                                  : static_cast<std::int64_t>(p);
-    out.new_label[static_cast<std::size_t>(v)] =
-        static_cast<V>(new_id[static_cast<std::size_t>(lead)]);
-  });
-
-  out.self_weight.assign(static_cast<std::size_t>(new_nv), 0);
-  out.volume.assign(static_cast<std::size_t>(new_nv), 0);
+  out.new_nv = labels.num_labels;
+  out.new_label = std::move(labels.label);
+  out.self_weight.assign(static_cast<std::size_t>(out.new_nv), 0);
+  out.volume.assign(static_cast<std::size_t>(out.new_nv), 0);
   parallel_for(nv, [&](std::int64_t v) {
     const auto nl = static_cast<std::size_t>(out.new_label[static_cast<std::size_t>(v)]);
     std::atomic_ref<Weight>(out.self_weight[nl])

@@ -30,6 +30,8 @@
 #include <utility>
 #include <vector>
 
+#include "commdet/contract/label_contractor.hpp"
+#include "commdet/contract/relabel.hpp"
 #include "commdet/match/matching.hpp"
 #include "commdet/obs/metrics.hpp"
 #include "commdet/shard/sharded_graph.hpp"
@@ -149,41 +151,12 @@ template <VertexId V>
     }
 
     // Per-bucket sort by second and accumulate duplicates in place —
-    // this canonicalization is what makes the output independent of
-    // scatter order, grouping, and shard count.
-    std::vector<EdgeId> new_len(static_cast<std::size_t>(gspan), 0);
-    ExceptionCollector errors;
-#pragma omp parallel
-    {
-      std::vector<std::pair<V, Weight>> scratch;
-#pragma omp for schedule(dynamic, 64)
-      for (std::int64_t v = 0; v < gspan; ++v) {
-        if (errors.armed()) continue;
-        errors.run([&] {
-          const EdgeId bb = cum[static_cast<std::size_t>(glo + static_cast<V>(v))] - base;
-          const EdgeId be = cum[static_cast<std::size_t>(glo + static_cast<V>(v)) + 1] - base;
-          if (bb == be) return;
-          scratch.clear();
-          for (EdgeId k = bb; k < be; ++k)
-            scratch.emplace_back(tmp_second[static_cast<std::size_t>(k)],
-                                 tmp_weight[static_cast<std::size_t>(k)]);
-          std::sort(scratch.begin(), scratch.end(),
-                    [](const auto& x, const auto& y) { return x.first < y.first; });
-          EdgeId w = bb;
-          for (std::size_t r = 0; r < scratch.size(); ++r) {
-            if (r > 0 && scratch[r].first == tmp_second[static_cast<std::size_t>(w - 1)]) {
-              tmp_weight[static_cast<std::size_t>(w - 1)] += scratch[r].second;
-            } else {
-              tmp_second[static_cast<std::size_t>(w)] = scratch[r].first;
-              tmp_weight[static_cast<std::size_t>(w)] = scratch[r].second;
-              ++w;
-            }
-          }
-          new_len[static_cast<std::size_t>(v)] = w - bb;
-        });
-      }
-    }
-    errors.rethrow_if_armed();
+    // the unsharded kernel's pass 3.  This canonicalization is what makes
+    // the output independent of scatter order, grouping, and shard count.
+    const auto new_len = sort_and_accumulate_buckets<V>(
+        std::span<const EdgeId>(cum).subspan(static_cast<std::size_t>(glo),
+                                             static_cast<std::size_t>(gspan) + 1),
+        base, std::span<V>(tmp_second), std::span<Weight>(tmp_weight));
 
     // Copy the shortened buckets into the destination blocks.
     for (int ds = gs; ds < ge; ++ds) {
@@ -231,50 +204,6 @@ template <VertexId V>
   return out;
 }
 
-/// Matching-driven contraction: dense relabeling of matched pairs (the
-/// exact relabel_matched convention — leaders are min(u, mate[u]), new
-/// ids dense in leader order; the leader-count prefix is exchange point
-/// 4), then the label-keyed kernel.
-template <VertexId V>
-[[nodiscard]] ShardedContractionResult<V> contract_sharded(ShardedGraph<V>& sg,
-                                                           const Matching<V>& m) {
-  const auto nv = static_cast<std::int64_t>(sg.nv);
-
-  std::vector<std::int64_t> leader_flag(static_cast<std::size_t>(nv), 0);
-  parallel_for(nv, [&](std::int64_t v) {
-    const V p = m.mate[static_cast<std::size_t>(v)];
-    leader_flag[static_cast<std::size_t>(v)] =
-        (p == kNoVertex<V> || p > static_cast<V>(v)) ? 1 : 0;
-  });
-  std::vector<std::int64_t> new_id(leader_flag);
-  const std::int64_t new_nv = exclusive_prefix_sum(std::span<std::int64_t>(new_id));
-
-  std::vector<V> new_label(static_cast<std::size_t>(nv), kNoVertex<V>);
-  parallel_for(nv, [&](std::int64_t v) {
-    const V p = m.mate[static_cast<std::size_t>(v)];
-    const std::int64_t lead = (p == kNoVertex<V> || p > static_cast<V>(v))
-                                  ? v
-                                  : static_cast<std::int64_t>(p);
-    new_label[static_cast<std::size_t>(v)] =
-        static_cast<V>(new_id[static_cast<std::size_t>(lead)]);
-  });
-
-  std::vector<Weight> new_self(static_cast<std::size_t>(new_nv), 0);
-  std::vector<Weight> new_volume(static_cast<std::size_t>(new_nv), 0);
-  parallel_for(nv, [&](std::int64_t v) {
-    const auto nl = static_cast<std::size_t>(new_label[static_cast<std::size_t>(v)]);
-    std::atomic_ref<Weight>(new_self[nl])
-        .fetch_add(sg.self_weight[static_cast<std::size_t>(v)], std::memory_order_relaxed);
-    std::atomic_ref<Weight>(new_volume[nl])
-        .fetch_add(sg.volume[static_cast<std::size_t>(v)], std::memory_order_relaxed);
-  });
-
-  auto graph = contract_sharded_by_labels(sg, std::span<const V>(new_label),
-                                          static_cast<V>(new_nv), std::move(new_self),
-                                          std::move(new_volume));
-  return {std::move(graph), std::move(new_label)};
-}
-
 /// Assignment-driven contraction for the dyn warm start: collapses an
 /// arbitrary dense labeling (values in [0, num_labels)), aggregating
 /// per-vertex state by label — the sharded twin of contract_by_labels.
@@ -296,6 +225,19 @@ template <VertexId V>
   });
   return contract_sharded_by_labels(sg, labels, static_cast<V>(num_labels),
                                     std::move(new_self), std::move(new_volume));
+}
+
+/// Matching-driven contraction: dense relabeling of matched pairs
+/// (matching_labels, the convention every matching contractor shares;
+/// the leader-count prefix is exchange point 4), then the label-keyed
+/// kernel.
+template <VertexId V>
+[[nodiscard]] ShardedContractionResult<V> contract_sharded(ShardedGraph<V>& sg,
+                                                           const Matching<V>& m) {
+  auto labels = matching_labels(m);
+  auto graph = contract_sharded_assignment(sg, std::span<const V>(labels.label),
+                                           static_cast<std::int64_t>(labels.num_labels));
+  return {std::move(graph), std::move(labels.label)};
 }
 
 }  // namespace commdet

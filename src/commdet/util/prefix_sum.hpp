@@ -59,19 +59,4 @@ T exclusive_prefix_sum(std::span<T> values) {
   return block_totals[static_cast<std::size_t>(used_threads)];
 }
 
-/// In-place inclusive prefix sum.  Returns the total of all inputs.
-template <typename T>
-T inclusive_prefix_sum(std::span<T> values) {
-  const std::int64_t n = static_cast<std::int64_t>(values.size());
-  if (n == 0) return T{};
-  const T total = exclusive_prefix_sum(values);
-  // Shift from exclusive to inclusive: add each original element back.
-  // Cheaper: recompute by shifting left and appending the total.
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < n - 1; ++i)
-    values[static_cast<std::size_t>(i)] = values[static_cast<std::size_t>(i) + 1];
-  values[static_cast<std::size_t>(n) - 1] = total;
-  return total;
-}
-
 }  // namespace commdet

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include "commdet/graph/validate.hpp"
 #include "commdet/match/matching.hpp"
 #include "commdet/match/sequential_greedy_matcher.hpp"
+#include "commdet/match/unmatched_list_matcher.hpp"
 #include "commdet/score/score_edges.hpp"
 #include "commdet/score/scorers.hpp"
 
@@ -155,31 +157,91 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(CKind::kBucket, CKind::kHash, CKind::kSpGemm),
                        ::testing::Values<std::uint64_t>(1, 2, 3)));
 
+/// Every array of two contraction results, compared element for element.
+template <typename V>
+void expect_identical(const ContractionResult<V>& a, const ContractionResult<V>& b,
+                      const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(a.new_label, b.new_label);
+  EXPECT_EQ(a.graph.nv, b.graph.nv);
+  EXPECT_EQ(a.graph.total_weight, b.graph.total_weight);
+  EXPECT_EQ(a.graph.self_weight, b.graph.self_weight);
+  EXPECT_EQ(a.graph.volume, b.graph.volume);
+  EXPECT_EQ(a.graph.efirst, b.graph.efirst);
+  EXPECT_EQ(a.graph.esecond, b.graph.esecond);
+  EXPECT_EQ(a.graph.eweight, b.graph.eweight);
+  EXPECT_EQ(a.graph.bucket_begin, b.graph.bucket_begin);
+  EXPECT_EQ(a.graph.bucket_end, b.graph.bucket_end);
+}
+
+/// Restores the ambient OpenMP thread count when it goes out of scope.
+class ThreadCountGuard {
+ public:
+  ThreadCountGuard() : saved_(omp_get_max_threads()) {}
+  ~ThreadCountGuard() { omp_set_num_threads(saved_); }
+  ThreadCountGuard(const ThreadCountGuard&) = delete;
+  ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
+
+ private:
+  int saved_;
+};
+
 TEST(ContractorEquivalence, BothContractorsProduceIdenticalGraphs) {
+  // Level 1 of a scale-14 R-MAT, matched once; all three contractors
+  // must produce the same arrays bit for bit, at 1 thread and at 4, and
+  // the two thread counts must agree with each other.
   RmatParams p;
-  p.scale = 10;
+  p.scale = 14;
   p.edge_factor = 8;
   const auto g = build_community_graph(generate_rmat<V32>(p));
   std::vector<Score> scores;
   score_edges(g, ModularityScorer{}, scores);
-  const auto m = SequentialGreedyMatcher<V32>{}.match(g, scores);
+  const auto m = UnmatchedListMatcher<V32>{}.match(g, scores);
   ASSERT_GT(m.num_pairs, 0);
-  const auto a = BucketSortContractor<V32>{}.contract(g, m);
-  const auto b = HashChainContractor<V32>{}.contract(g, m);
-  const auto c = SpGemmContractor<V32>{}.contract(g, m);
-  EXPECT_EQ(a.new_label, b.new_label);
-  EXPECT_EQ(a.graph.num_vertices(), b.graph.num_vertices());
-  EXPECT_EQ(a.graph.self_weight, b.graph.self_weight);
-  EXPECT_EQ(a.graph.volume, b.graph.volume);
-  EXPECT_EQ(edge_multiset(a.graph), edge_multiset(b.graph));
-  // The SpGEMM formulation (A' = S^T A S) is bit-identical too: same
-  // labels, same self weights, same sorted buckets.
-  EXPECT_EQ(a.new_label, c.new_label);
-  EXPECT_EQ(a.graph.self_weight, c.graph.self_weight);
-  EXPECT_EQ(a.graph.volume, c.graph.volume);
-  EXPECT_EQ(a.graph.efirst, c.graph.efirst);
-  EXPECT_EQ(a.graph.esecond, c.graph.esecond);
-  EXPECT_EQ(a.graph.eweight, c.graph.eweight);
+
+  ThreadCountGuard guard;
+  omp_set_num_threads(1);
+  const auto serial = BucketSortContractor<V32>{}.contract(g, m);
+  ASSERT_TRUE(validate_graph(serial.graph).ok()) << validate_graph(serial.graph).error;
+  ASSERT_LT(serial.graph.num_edges(), g.num_edges());
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    omp_set_num_threads(threads);
+    expect_identical(serial, BucketSortContractor<V32>{}.contract(g, m), "BucketSort");
+    expect_identical(serial, HashChainContractor<V32>{}.contract(g, m), "HashChain");
+    expect_identical(serial, SpGemmContractor<V32>{}.contract(g, m), "SpGemm");
+  }
+}
+
+TEST(ContractorEquivalence, FewEdgesPerLabelMatchesHashChain) {
+  // Matchings that leave about one edge per new vertex cap the label
+  // kernel at fewer histogram chunks than threads (down to one).
+  ThreadCountGuard guard;
+  omp_set_num_threads(4);
+  {
+    // Path of 1001 vertices, every other edge matched: 501 labels, 1000 edges.
+    const auto g = build_community_graph(make_path<V32>(1001));
+    std::vector<std::pair<V32, V32>> pairs;
+    for (V32 v = 0; v + 1 < 1001; v += 2) pairs.emplace_back(v, v + 1);
+    const auto m = match_pairs<V32>(1001, pairs);
+    expect_identical(BucketSortContractor<V32>{}.contract(g, m),
+                     HashChainContractor<V32>{}.contract(g, m), "path");
+  }
+  {
+    // Star of 1000 vertices with one spoke matched: 999 labels, 999 edges.
+    const auto g = build_community_graph(make_star<V32>(1000));
+    const auto m = match_pairs<V32>(1000, {{0, 1}});
+    const auto r = BucketSortContractor<V32>{}.contract(g, m);
+    EXPECT_EQ(r.graph.num_edges(), 998);
+    expect_identical(r, HashChainContractor<V32>{}.contract(g, m), "star");
+  }
+  {
+    // Nothing matched: 1000 labels but only 999 edges.
+    const auto g = build_community_graph(make_star<V32>(1000));
+    const auto m = match_pairs<V32>(1000, {});
+    expect_identical(BucketSortContractor<V32>{}.contract(g, m),
+                     HashChainContractor<V32>{}.contract(g, m), "unmatched star");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllContractors, ContractorTest,

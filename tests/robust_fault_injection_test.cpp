@@ -644,7 +644,7 @@ TEST(FaultInjection, DroppedLinkMidRecordReconnectsAndCatchesUp) {
           auto reply = follower.handle_repl_line(line);
           if (!reply.has_value()) continue;
           const std::string out = *reply + "\n";
-          if (::write(fd, out.data(), out.size()) < 0) break;
+          if (::send(fd, out.data(), out.size(), MSG_NOSIGNAL) < 0) break;
         }
       }
       ::close(fd);
@@ -673,8 +673,14 @@ TEST(FaultInjection, DroppedLinkMidRecordReconnectsAndCatchesUp) {
   }
   const auto wsnap = (*svc)->snapshot();
 
+  // The follower applies a record before its ACK reaches the writer's
+  // link thread, so wait for both sides to reach the final epoch.
+  const auto writer_acked = [&] {
+    const auto st = (*svc)->replication()->status();
+    return !st.empty() && st[0].acked_epoch >= wsnap->epoch;
+  };
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (follower.epoch() < wsnap->epoch &&
+  while ((follower.epoch() < wsnap->epoch || !writer_acked()) &&
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(follower.epoch(), wsnap->epoch);

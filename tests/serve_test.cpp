@@ -1072,7 +1072,7 @@ TEST(ServeStress, ReplicationShipsUnderLoadWithReconnects) {
           auto reply = follower.handle_repl_line(line);
           if (!reply.has_value()) continue;
           const std::string out = *reply + "\n";
-          if (::write(fd, out.data(), out.size()) < 0) drop = true;
+          if (::send(fd, out.data(), out.size(), MSG_NOSIGNAL) < 0) drop = true;
           // Drop the link mid-stream every 7th reply (but never while
           // the snapshot transfer is in flight).
           if (++replies % 7 == 0 && reply->rfind("ACK SNAP", 0) != 0) drop = true;

@@ -154,20 +154,6 @@ TEST_P(PrefixSumSweep, ExclusiveMatchesSerialReference) {
   EXPECT_EQ(values, expected);
 }
 
-TEST_P(PrefixSumSweep, InclusiveMatchesSerialReference) {
-  const std::int64_t n = GetParam();
-  CounterRng rng(23);
-  std::vector<std::int64_t> values(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i)
-    values[static_cast<std::size_t>(i)] = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(i), 100));
-
-  std::vector<std::int64_t> expected(values.size());
-  std::inclusive_scan(values.begin(), values.end(), expected.begin());
-
-  inclusive_prefix_sum(std::span<std::int64_t>(values));
-  EXPECT_EQ(values, expected);
-}
-
 INSTANTIATE_TEST_SUITE_P(Sizes, PrefixSumSweep,
                          ::testing::Values<std::int64_t>(0, 1, 2, 7, 64, 1000, 65537));
 
