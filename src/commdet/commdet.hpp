@@ -106,7 +106,6 @@
 #include "commdet/score/scorers.hpp"
 #include "commdet/util/atomics.hpp"
 #include "commdet/util/compact.hpp"
-#include "commdet/util/full_empty.hpp"
 #include "commdet/util/histogram.hpp"
 #include "commdet/util/parallel.hpp"
 #include "commdet/util/prefix_sum.hpp"

@@ -39,8 +39,16 @@ class BucketSortContractor {
  public:
   [[nodiscard]] ContractionResult<V> contract(const CommunityGraph<V>& g,
                                               const Matching<V>& m) const {
+    ContractionBuffers<V> fresh;
+    return contract(g, m, fresh);
+  }
+
+  /// The same contraction, recycling `buffers` (see ContractionBuffers).
+  [[nodiscard]] ContractionResult<V> contract(const CommunityGraph<V>& g, const Matching<V>& m,
+                                              ContractionBuffers<V>& buffers) const {
     auto labels = matching_labels(m);
-    auto graph = contract_by_labels(g, std::span<const V>(labels.label), labels.num_labels);
+    auto graph = contract_by_labels(g, std::span<const V>(labels.label), labels.num_labels,
+                                    buffers);
     if (obs::Counter* c = obs::counter("contract.edges_in")) c->add(g.num_edges());
     if (obs::Counter* c = obs::counter("contract.edges_out")) c->add(graph.num_edges());
     return {std::move(graph), std::move(labels.label)};

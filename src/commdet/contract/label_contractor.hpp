@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "commdet/graph/community_graph.hpp"
+#include "commdet/obs/trace.hpp"
 #include "commdet/util/parallel.hpp"
 #include "commdet/util/prefix_sum.hpp"
 #include "commdet/util/types.hpp"
@@ -79,24 +80,67 @@ std::vector<EdgeId> sort_and_accumulate_buckets(std::span<const EdgeId> off, Edg
   return new_len;
 }
 
+/// Caller-owned storage that successive contractions recycle.  A fresh
+/// edge array larger than glibc's mmap threshold (32 MB) is mapped anew
+/// and page-faulted on first touch at every level; reusing the previous
+/// level's arrays skips both the faults and the single-threaded value
+/// initialization.  `spare` is a retired graph (typically the input of
+/// the previous level) whose arrays the next output takes over; the
+/// scatter scratch keeps its capacity from one contraction to the next.
+template <VertexId V>
+struct ContractionBuffers {
+  std::vector<V> scatter_second;
+  std::vector<Weight> scatter_weight;
+  CommunityGraph<V> spare;
+
+  /// Bytes held between contractions (capacities, not sizes).
+  [[nodiscard]] std::int64_t retained_bytes() const noexcept {
+    const auto bytes = [](const auto& v) {
+      return static_cast<std::int64_t>(v.capacity() * sizeof(v[0]));
+    };
+    return bytes(scatter_second) + bytes(scatter_weight) + bytes(spare.bucket_begin) +
+           bytes(spare.bucket_end) + bytes(spare.self_weight) + bytes(spare.volume) +
+           bytes(spare.efirst) + bytes(spare.esecond) + bytes(spare.eweight);
+  }
+};
+
+namespace detail {
+
+/// Sizes `v` to `n` for a pass that overwrites every element.  Within
+/// the recycled capacity this initializes at most the grown tail; past
+/// it the old contents are dropped first rather than copied.
+template <typename T>
+void resize_for_overwrite(std::vector<T>& v, std::size_t n) {
+  if (v.capacity() < n) v = std::vector<T>();
+  v.resize(n);
+}
+
+}  // namespace detail
+
 /// Contracts `base` by the dense labeling `labels` (values in
 /// [0, num_labels)): every label class becomes one vertex carrying its
 /// members' collapsed internal weight as a self-loop; volumes and total
 /// weight are preserved exactly (both are additive under contraction).
 /// Weights are integers, so the output is bit-identical at any thread
-/// count.
+/// count, and it does not depend on what `buffers` held.  The output
+/// takes over `buffers.spare`'s arrays (which must not be `base`'s);
+/// the scatter scratch stays in `buffers` for the next call.
 template <VertexId V>
 [[nodiscard]] CommunityGraph<V> contract_by_labels(const CommunityGraph<V>& base,
                                                    std::span<const V> labels,
-                                                   std::int64_t num_labels) {
+                                                   std::int64_t num_labels,
+                                                   ContractionBuffers<V>& buffers) {
   const auto nv = static_cast<std::int64_t>(base.nv);
   const EdgeId ne = base.num_edges();
 
-  CommunityGraph<V> out;
+  CommunityGraph<V> out = std::exchange(buffers.spare, CommunityGraph<V>{});
   out.nv = static_cast<V>(num_labels);
   out.total_weight = base.total_weight;
   out.volume.assign(static_cast<std::size_t>(num_labels), 0);
   out.self_weight.assign(static_cast<std::size_t>(num_labels), 0);
+
+  obs::ScopedSpan count_span("contract.count");
+  count_span.attr("edges", static_cast<std::int64_t>(ne));
 
   // Per-vertex state is additive under contraction: volumes scatter-add,
   // member self-loops fold into the community self weight.
@@ -169,9 +213,14 @@ template <VertexId V>
   chunk_self.clear();  // released before the scatter scratch is allocated
 
   const EdgeId live = exclusive_prefix_sum(std::span<EdgeId>(counts));
+  count_span.close();
 
-  std::vector<V> tmp_second(static_cast<std::size_t>(live));
-  std::vector<Weight> tmp_weight(static_cast<std::size_t>(live));
+  obs::ScopedSpan scatter_span("contract.scatter");
+  scatter_span.attr("edges", static_cast<std::int64_t>(live));
+  auto& tmp_second = buffers.scatter_second;
+  auto& tmp_weight = buffers.scatter_weight;
+  detail::resize_for_overwrite(tmp_second, static_cast<std::size_t>(live));
+  detail::resize_for_overwrite(tmp_weight, static_cast<std::size_t>(live));
   parallel_for_dynamic(nchunks, [&](std::int64_t c) {
     auto& cur = chunk_count[static_cast<std::size_t>(c)];
     const EdgeId ee = chunk_begin(c + 1);
@@ -188,20 +237,26 @@ template <VertexId V>
     }
   }, /*chunk=*/1);
   chunk_count.clear();
+  scatter_span.close();
 
   // Pass 3: per-bucket sort by second vertex, accumulating duplicates.
+  obs::ScopedSpan sort_span("contract.sort");
+  sort_span.attr("edges", static_cast<std::int64_t>(live));
   const auto new_len = sort_and_accumulate_buckets<V>(
       std::span<const EdgeId>(counts), 0, std::span<V>(tmp_second),
       std::span<Weight>(tmp_weight));
+  sort_span.close();
 
   // Pass 4: copy the shortened buckets out contiguously, filling in the
   // implicit first vertex.
+  obs::ScopedSpan copy_span("contract.copy");
   std::vector<EdgeId> final_off(new_len.begin(), new_len.end());
   final_off.push_back(0);
   const EdgeId final_ne = exclusive_prefix_sum(std::span<EdgeId>(final_off));
-  out.efirst.resize(static_cast<std::size_t>(final_ne));
-  out.esecond.resize(static_cast<std::size_t>(final_ne));
-  out.eweight.resize(static_cast<std::size_t>(final_ne));
+  copy_span.attr("edges", static_cast<std::int64_t>(final_ne));
+  detail::resize_for_overwrite(out.efirst, static_cast<std::size_t>(final_ne));
+  detail::resize_for_overwrite(out.esecond, static_cast<std::size_t>(final_ne));
+  detail::resize_for_overwrite(out.eweight, static_cast<std::size_t>(final_ne));
   parallel_for_dynamic(num_labels, [&](std::int64_t v) {
     const EdgeId src = counts[static_cast<std::size_t>(v)];
     const EdgeId dst = final_off[static_cast<std::size_t>(v)];
@@ -222,6 +277,16 @@ template <VertexId V>
         final_off[static_cast<std::size_t>(v)] + new_len[static_cast<std::size_t>(v)];
   });
   return out;
+}
+
+/// contract_by_labels with fresh storage, for callers that contract
+/// once (dyn/ warm start) or keep no retired graph (Louvain).
+template <VertexId V>
+[[nodiscard]] CommunityGraph<V> contract_by_labels(const CommunityGraph<V>& base,
+                                                   std::span<const V> labels,
+                                                   std::int64_t num_labels) {
+  ContractionBuffers<V> fresh;
+  return contract_by_labels(base, labels, num_labels, fresh);
 }
 
 }  // namespace commdet

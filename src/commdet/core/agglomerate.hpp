@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -73,15 +74,68 @@ template <VertexId V>
   return UnmatchedListMatcher<V>{}.match(g, scores);
 }
 
+/// Only the bucket-sort contractor recycles `buffers`; the hash-chain
+/// and SpGEMM ablations allocate as they always did.
 template <VertexId V>
 [[nodiscard]] ContractionResult<V> run_contractor(ContractorKind kind,
                                                   const CommunityGraph<V>& g,
-                                                  const Matching<V>& m) {
+                                                  const Matching<V>& m,
+                                                  ContractionBuffers<V>& buffers) {
   COMMDET_FAULT_POINT(fault::kContract, Phase::kContract);
   if (kind == ContractorKind::kHashChain) return HashChainContractor<V>{}.contract(g, m);
   if (kind == ContractorKind::kSpGemm) return SpGemmContractor<V>{}.contract(g, m);
-  return BucketSortContractor<V>{}.contract(g, m);
+  return BucketSortContractor<V>{}.contract(g, m, buffers);
 }
+
+/// The original-vertex -> community map, composed lazily.  Rewriting
+/// every original vertex's entry at every level costs O(original nv)
+/// per level even when a few thousand communities remain, and R-MAT
+/// runs last ~1000 levels.  Instead each level's new_label is composed
+/// into an anchor -> current array sized to the graph at the anchor
+/// level, and that array is folded into `community` (and re-anchored at
+/// the current level) once the graph has halved since the anchor.  A
+/// level then costs O(current nv), plus O(original nv) per halving.
+/// Function composition is exact, so flushed maps equal the eager ones;
+/// flush() must precede every read of `community`.
+template <VertexId V>
+class LazyCommunityMap {
+ public:
+  LazyCommunityMap(std::vector<V>& community, std::int64_t nv)
+      : community_(community), anchor_nv_(nv) {}
+
+  /// Applies one level's old -> new community labels.
+  void compose(std::span<const V> new_label, std::int64_t nv_after) {
+    if (!composed_) {
+      to_current_.assign(new_label.begin(), new_label.end());  // identity, then new_label
+    } else {
+      parallel_for(static_cast<std::int64_t>(to_current_.size()), [&](std::int64_t a) {
+        auto& c = to_current_[static_cast<std::size_t>(a)];
+        c = new_label[static_cast<std::size_t>(c)];
+      });
+    }
+    composed_ = true;
+    current_nv_ = nv_after;
+    if (2 * nv_after <= anchor_nv_) flush();
+  }
+
+  /// Folds the composed levels into `community` and re-anchors there.
+  void flush() {
+    if (!composed_) return;
+    parallel_for(static_cast<std::int64_t>(community_.size()), [&](std::int64_t v) {
+      auto& c = community_[static_cast<std::size_t>(v)];
+      c = to_current_[static_cast<std::size_t>(c)];
+    });
+    anchor_nv_ = current_nv_;
+    composed_ = false;
+  }
+
+ private:
+  std::vector<V>& community_;
+  std::vector<V> to_current_;  // anchor community -> current; valid while composed_
+  std::int64_t anchor_nv_;
+  std::int64_t current_nv_ = 0;
+  bool composed_ = false;
+};
 
 /// Modularity of the current community graph's partition:
 /// sum_c [ self(c)/W - (vol(c)/2W)^2 ].
@@ -133,6 +187,7 @@ template <VertexId V, EdgeScorer S>
     result.community.resize(static_cast<std::size_t>(original_nv));
     std::iota(result.community.begin(), result.community.end(), V{0});
   }
+  LazyCommunityMap<V> community_map(result.community, static_cast<std::int64_t>(g.nv));
   result.num_communities = static_cast<std::int64_t>(g.nv);
   result.final_modularity = detail::partition_modularity(g);
   result.final_coverage = detail::partition_coverage(g);
@@ -181,9 +236,9 @@ template <VertexId V, EdgeScorer S>
     run_span.attr("resumed", resume != nullptr ? 1 : 0);
   }
   obs::Counter* ckpt_write_counter = ckpt_enabled ? obs::counter("checkpoint.writes") : nullptr;
-  obs::Counter* ckpt_bytes_counter = ckpt_enabled ? obs::counter("checkpoint.bytes") : nullptr;
   const auto save_checkpoint_now = [&](int next_level) -> bool {
     if (!ckpt_enabled) return false;
+    community_map.flush();
     obs::ScopedSpan span("checkpoint");
     span.attr("next_level", next_level);
     try {
@@ -214,11 +269,15 @@ template <VertexId V, EdgeScorer S>
       return false;
     }
   };
-  (void)ckpt_bytes_counter;
+
+  // Contraction storage recycled across levels: each replaced graph
+  // becomes the spare whose arrays the next contraction fills.
+  ContractionBuffers<V> buffers;
 
   // Stop checks shared by the level boundary and the between-phase
   // points: cooperative interrupt first (a signal handler set the
-  // flag), then the budget.
+  // flag), then the budget.  The memory check counts the recycled
+  // storage along with the live graph.
   const auto check_stop = [&](bool check_memory) -> std::optional<Error> {
     if (interrupt_requested())
       return Error{ErrorCode::kInterrupted, Phase::kDriver,
@@ -226,7 +285,8 @@ template <VertexId V, EdgeScorer S>
     if (!budgeted) return std::nullopt;
     if (auto violation = budget.check_deadline(completed_levels)) return violation;
     if (check_memory)
-      if (auto violation = budget.check_memory(estimate_working_set_bytes(g), completed_levels))
+      if (auto violation = budget.check_memory(
+              estimate_working_set_bytes(g) + buffers.retained_bytes(), completed_levels))
         return violation;
     return std::nullopt;
   };
@@ -319,8 +379,9 @@ template <VertexId V, EdgeScorer S>
       {
         ScopedTimer t(stats.contract_seconds);
         obs::ScopedSpan span("contract");
-        auto contracted = detail::run_contractor(opts.contractor, g, matching);
-        g = std::move(contracted.graph);
+        auto contracted = detail::run_contractor(opts.contractor, g, matching, buffers);
+        CommunityGraph<V> retired = std::exchange(g, std::move(contracted.graph));
+        if (opts.contractor == ContractorKind::kBucketSort) buffers.spare = std::move(retired);
         new_label = std::move(contracted.new_label);
         span.attr("nv_after", static_cast<std::int64_t>(g.nv));
         span.attr("ne_after", static_cast<std::int64_t>(g.num_edges()));
@@ -328,10 +389,7 @@ template <VertexId V, EdgeScorer S>
 
       // Bookkeeping: original-vertex map, size counts, quality trajectory.
       phase = Phase::kDriver;
-      parallel_for(original_nv, [&](std::int64_t v) {
-        auto& c = result.community[static_cast<std::size_t>(v)];
-        c = new_label[static_cast<std::size_t>(c)];
-      });
+      community_map.compose(std::span<const V>(new_label), static_cast<std::int64_t>(g.nv));
       if (opts.track_hierarchy) result.hierarchy.push_back(new_label);
       if (opts.max_community_size > 0) {
         std::vector<std::int64_t> new_count(static_cast<std::size_t>(g.nv), 0);
@@ -404,6 +462,8 @@ template <VertexId V, EdgeScorer S>
         completed_levels % opts.checkpoint.every_levels == 0)
       (void)save_checkpoint_now(level + 1);
   }
+
+  community_map.flush();
 
   // A degraded stop hands its state to the next invocation: one final
   // checkpoint at the last completed level boundary.  Budget and

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -97,6 +98,7 @@ template <VertexId V, EdgeScorer S>
   const auto original_nv = static_cast<std::int64_t>(sg.nv);
   result.community.resize(static_cast<std::size_t>(original_nv));
   std::iota(result.community.begin(), result.community.end(), V{0});
+  detail::LazyCommunityMap<V> community_map(result.community, original_nv);
   result.num_communities = static_cast<std::int64_t>(sg.nv);
   result.final_modularity = detail::sharded_partition_modularity(sg);
   result.final_coverage = detail::sharded_partition_coverage(sg);
@@ -205,10 +207,7 @@ template <VertexId V, EdgeScorer S>
       }
 
       phase = Phase::kDriver;
-      parallel_for(original_nv, [&](std::int64_t v) {
-        auto& c = result.community[static_cast<std::size_t>(v)];
-        c = new_label[static_cast<std::size_t>(c)];
-      });
+      community_map.compose(std::span<const V>(new_label), static_cast<std::int64_t>(sg.nv));
       if (opts.track_hierarchy) result.hierarchy.push_back(new_label);
 
       stats.nv_after = static_cast<std::int64_t>(sg.nv);
@@ -264,6 +263,7 @@ template <VertexId V, EdgeScorer S>
       }
     }
   }
+  community_map.flush();
 
   result.total_seconds = total_timer.seconds();
   run_span.attr("levels", static_cast<std::int64_t>(result.levels.size()));

@@ -5,6 +5,7 @@
 // an uninterrupted run of the same configuration.
 #include <gtest/gtest.h>
 
+#include <omp.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -17,6 +18,7 @@
 #include "commdet/core/agglomerate.hpp"
 #include "commdet/core/detect.hpp"
 #include "commdet/gen/planted_partition.hpp"
+#include "commdet/gen/rmat.hpp"
 #include "commdet/graph/builder.hpp"
 #include "commdet/obs/json.hpp"
 #include "commdet/obs/report.hpp"
@@ -351,6 +353,40 @@ TEST_F(CheckpointTestBase, ResumedRunMatchesUninterruptedRun) {
   EXPECT_EQ(resumed.checkpoint->resumed_generation, 2);
   EXPECT_EQ(resumed.checkpoint->resumed_level, 3);
   EXPECT_FALSE(resumed.checkpoint->resumed_from.empty());
+}
+
+TEST_F(CheckpointTestBase, EveryLevelResumeMatchesUninterruptedRunOnOneThread) {
+  // The default (unmatched-list) matcher is deterministic on one thread.
+  // Checkpointing every level folds the lazily composed vertex map at
+  // every boundary; resuming from any of those generations must give
+  // the labels of the run that never stopped.
+  using V = std::int32_t;
+  const int saved_threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  RmatParams rp;
+  rp.scale = 10;
+  rp.edge_factor = 8;
+  const auto el = generate_rmat<V>(rp);
+  const AgglomerationOptions opts;
+  const auto baseline = agglomerate(el, ModularityScorer{}, opts);
+  ASSERT_GE(baseline.levels.size(), 6u) << "graph too easy to exercise resume";
+
+  auto ckpt_opts = opts;
+  ckpt_opts.checkpoint.directory = dir();
+  ckpt_opts.checkpoint.every_levels = 1;
+  ckpt_opts.checkpoint.keep_generations = 1 << 20;
+  const auto full = agglomerate(el, ModularityScorer{}, ckpt_opts);
+  expect_same_clustering(full, baseline);
+
+  const auto generations = list_checkpoints(dir());
+  ASSERT_GE(generations.size(), 3u);
+  for (const std::size_t k : {std::size_t{0}, generations.size() / 2, generations.size() - 1}) {
+    SCOPED_TRACE(testing::Message() << "generation " << generations[k].first);
+    auto mid = read_checkpoint_file<V>(generations[k].second);
+    const auto resumed = resume_agglomerate(std::move(mid), ModularityScorer{}, ckpt_opts);
+    expect_same_clustering(resumed, baseline);
+  }
+  omp_set_num_threads(saved_threads);
 }
 
 TEST_F(CheckpointTestBase, ResumedRunMatchesUninterrupted64Bit) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "commdet/contract/bucket_sort_contractor.hpp"
@@ -241,6 +242,87 @@ TEST(ContractorEquivalence, FewEdgesPerLabelMatchesHashChain) {
     const auto m = match_pairs<V32>(1000, {});
     expect_identical(BucketSortContractor<V32>{}.contract(g, m),
                      HashChainContractor<V32>{}.contract(g, m), "unmatched star");
+  }
+}
+
+TEST(ContractionBuffers, RecycledLevelsMatchFreshContraction) {
+  // One ContractionBuffers carried through successive levels the way the
+  // driver carries it: each replaced graph becomes the spare.  Every
+  // recycled output must equal a fresh contraction of the same matching.
+  RmatParams p;
+  p.scale = 14;
+  p.edge_factor = 8;
+  const auto input = build_community_graph(generate_rmat<V32>(p));
+  ThreadCountGuard guard;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    omp_set_num_threads(threads);
+    ContractionBuffers<V32> buffers;
+    auto g = input;
+    int levels = 0;
+    for (; levels < 12; ++levels) {
+      std::vector<Score> scores;
+      score_edges(g, ModularityScorer{}, scores);
+      const auto m = UnmatchedListMatcher<V32>{}.match(g, scores);
+      if (m.num_pairs == 0) break;
+      const auto fresh = BucketSortContractor<V32>{}.contract(g, m);
+      auto recycled = BucketSortContractor<V32>{}.contract(g, m, buffers);
+      expect_identical(fresh, recycled, "recycled level");
+      buffers.spare = std::exchange(g, std::move(recycled.graph));
+    }
+    EXPECT_GE(levels, 5);
+    EXPECT_GT(buffers.retained_bytes(), 0);
+  }
+}
+
+TEST(ContractionBuffers, SpareOfAnySizeGivesTheFreshOutput) {
+  // The spare's edge arrays may be larger than the output (shrunk in
+  // place), smaller but with room to grow (tail initialized), or smaller
+  // than the output's capacity needs (reallocated); the scatter scratch
+  // likewise.  Stale contents must never leak into the result.
+  RmatParams p;
+  p.scale = 12;
+  p.edge_factor = 8;
+  const auto g = build_community_graph(generate_rmat<V32>(p));
+  std::vector<Score> scores;
+  score_edges(g, ModularityScorer{}, scores);
+  const auto m = UnmatchedListMatcher<V32>{}.match(g, scores);
+  ASSERT_GT(m.num_pairs, 0);
+
+  ThreadCountGuard guard;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    omp_set_num_threads(threads);
+    const auto fresh = BucketSortContractor<V32>{}.contract(g, m);
+    const auto out_ne = static_cast<std::size_t>(fresh.graph.num_edges());
+
+    // Tiny spare and scratch: everything reallocates.
+    ContractionBuffers<V32> tiny;
+    tiny.spare = build_community_graph(make_path<V32>(5));
+    tiny.scatter_second.assign(3, 7);
+    tiny.scatter_weight.assign(3, 9);
+    expect_identical(fresh, BucketSortContractor<V32>{}.contract(g, m, tiny), "tiny spare");
+
+    // Large capacity, small size: the arrays grow within their capacity.
+    ContractionBuffers<V32> shrunk;
+    shrunk.spare = g;
+    shrunk.spare.efirst.resize(out_ne / 2);
+    shrunk.spare.esecond.resize(out_ne / 2);
+    shrunk.spare.eweight.resize(out_ne / 2);
+    shrunk.scatter_second.assign(out_ne, 5);
+    shrunk.scatter_second.resize(10);
+    shrunk.scatter_weight.assign(out_ne, 5);
+    shrunk.scatter_weight.resize(10);
+    ASSERT_GE(shrunk.spare.esecond.capacity(), out_ne);
+    expect_identical(fresh, BucketSortContractor<V32>{}.contract(g, m, shrunk), "shrunk spare");
+
+    // Larger than the output: shrunk in place, stale tail ignored.
+    ContractionBuffers<V32> large;
+    large.spare = g;
+    large.scatter_second.assign(static_cast<std::size_t>(g.num_edges()) * 2, 3);
+    large.scatter_weight.assign(static_cast<std::size_t>(g.num_edges()) * 2, 3);
+    expect_identical(fresh, BucketSortContractor<V32>{}.contract(g, m, large), "large spare");
+    EXPECT_TRUE(large.spare.efirst.empty()) << "the output takes over the spare";
   }
 }
 

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "commdet/core/agglomerate.hpp"
 #include "commdet/core/metrics.hpp"
 #include "commdet/gen/planted_partition.hpp"
+#include "commdet/gen/rmat.hpp"
 #include "commdet/gen/simple_graphs.hpp"
 #include "commdet/graph/builder.hpp"
 
@@ -75,6 +80,73 @@ TEST(Hierarchy, CommunityCountsShrinkMonotonically) {
 TEST(Hierarchy, DisabledByDefault) {
   const auto r = agglomerate(make_caveman<V32>(4, 5), ModularityScorer{});
   EXPECT_TRUE(r.hierarchy.empty());
+}
+
+/// The original-vertex map an eager driver would hold: every level's
+/// new_label applied to every original vertex, in order.
+std::vector<V32> compose_hierarchy(const Clustering<V32>& r, std::size_t original_nv) {
+  std::vector<V32> labels(original_nv);
+  std::iota(labels.begin(), labels.end(), V32{0});
+  for (const auto& new_label : r.hierarchy)
+    for (auto& c : labels) c = new_label[static_cast<std::size_t>(c)];
+  return labels;
+}
+
+TEST(Hierarchy, LazyCommunityMapEqualsComposedHierarchyOnEveryStop) {
+  // The driver folds level labels into `community` only when the graph
+  // has halved since the last fold, and on exit.  Whatever the stop,
+  // the result must be the full composition of the recorded levels.
+  // One thread keeps the default matcher deterministic, so the level
+  // counts measured below hold for the capped and budgeted reruns.
+  const int saved_threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  RmatParams rp;
+  rp.scale = 12;
+  rp.edge_factor = 8;
+  const auto rmat = build_community_graph(generate_rmat<V32>(rp));
+  const auto star = build_community_graph(make_star<V32>(400));
+  struct Case {
+    const char* name;
+    const CommunityGraph<V32>* g;
+    AgglomerationOptions opts;
+    TerminationReason expected;
+  };
+  std::vector<Case> cases;
+  AgglomerationOptions base;
+  base.track_hierarchy = true;
+  cases.push_back({"rmat", &rmat, base, TerminationReason::kLocalMaximum});
+  for (const auto& [name, g] : {std::pair{"rmat", &rmat}, std::pair{"star", &star}}) {
+    // Stop on coverage a little short of where the unconstrained run ends.
+    auto covered = base;
+    covered.min_coverage =
+        0.9 * agglomerate(CommunityGraph<V32>(*g), ModularityScorer{}, base).final_coverage;
+    const int levels =
+        agglomerate(CommunityGraph<V32>(*g), ModularityScorer{}, covered).num_levels();
+    ASSERT_GE(levels, 6) << name;
+    cases.push_back({name, g, covered, TerminationReason::kCoverage});
+    for (const int cap : {1, levels / 3, levels - 1}) {
+      auto capped = covered;
+      capped.max_levels = cap;
+      cases.push_back({name, g, capped, TerminationReason::kLevelCap});
+    }
+    auto deadline = covered;
+    deadline.budget.max_seconds = 1e-9;
+    deadline.budget.grace_levels = levels / 2;
+    cases.push_back({name, g, deadline, TerminationReason::kDeadline});
+  }
+
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.name << " " << to_string(c.expected) << " after "
+                                    << c.opts.max_levels << " / " << c.opts.budget.grace_levels);
+    const auto r = agglomerate(CommunityGraph<V32>(*c.g), ModularityScorer{}, c.opts);
+    EXPECT_EQ(r.reason, c.expected);
+    ASSERT_EQ(static_cast<int>(r.hierarchy.size()), r.num_levels());
+    EXPECT_EQ(r.community, compose_hierarchy(r, static_cast<std::size_t>(c.g->nv)));
+    V32 max_label = 0;
+    for (const auto l : r.community) max_label = std::max(max_label, l);
+    EXPECT_EQ(max_label + 1, r.num_communities);
+  }
+  omp_set_num_threads(saved_threads);
 }
 
 TEST(ResolutionScorer, GammaOneMatchesPlainModularity) {

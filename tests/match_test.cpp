@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cstdint>
 #include <functional>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "commdet/gen/erdos_renyi.hpp"
@@ -195,6 +198,100 @@ TEST(UnmatchedList, SweepCountStaysSmallOnSocialGraphs) {
   score_edges(g2, ModularityScorer{}, scores);
   const auto m2 = UnmatchedListMatcher<V32>{}.match(g2, scores);
   EXPECT_LE(m2.sweeps, 40);
+}
+
+/// The unmatched-list matcher with a full bucket rescan for every listed
+/// vertex in every sweep, run serially: the pass-1 formulation before
+/// still-free proposals were kept.  Pass 2 and the compaction visit the
+/// list in order, as the library's passes do on one thread.
+Matching<V32> full_rescan_reference(const CommunityGraph<V32>& g,
+                                    const std::vector<Score>& scores) {
+  const auto nv = static_cast<std::size_t>(g.nv);
+  Matching<V32> result;
+  result.mate.assign(nv, kNoVertex<V32>);
+  auto& mate = result.mate;
+  std::vector<V32> proposal(nv, kNoVertex<V32>);
+  std::vector<Score> proposal_score(nv, 0.0);
+  std::vector<V32> unmatched(nv);
+  std::iota(unmatched.begin(), unmatched.end(), V32{0});
+  while (!unmatched.empty()) {
+    ++result.sweeps;
+    for (const V32 u : unmatched) {
+      const auto [bb, be] = g.bucket(u);
+      Offer<V32> best;
+      V32 best_target = kNoVertex<V32>;
+      for (EdgeId e = bb; e < be; ++e) {
+        const auto i = static_cast<std::size_t>(e);
+        const V32 v = g.esecond[i];
+        if (scores[i] <= 0.0 || mate[static_cast<std::size_t>(v)] != kNoVertex<V32>) continue;
+        const auto offer = make_offer(scores[i], u, v);
+        if (offer.beats(best)) {
+          best = offer;
+          best_target = v;
+        }
+      }
+      proposal[static_cast<std::size_t>(u)] = best_target;
+      proposal_score[static_cast<std::size_t>(u)] = best.score;
+    }
+    for (const V32 u : unmatched) {
+      const V32 v = proposal[static_cast<std::size_t>(u)];
+      if (v == kNoVertex<V32>) continue;
+      const auto mine = make_offer(proposal_score[static_cast<std::size_t>(u)], u, v);
+      const V32 vs_target = proposal[static_cast<std::size_t>(v)];
+      if (vs_target != kNoVertex<V32> &&
+          make_offer(proposal_score[static_cast<std::size_t>(v)], v, vs_target).beats(mine))
+        continue;
+      if (mate[static_cast<std::size_t>(u)] == kNoVertex<V32> &&
+          mate[static_cast<std::size_t>(v)] == kNoVertex<V32>) {
+        mate[static_cast<std::size_t>(u)] = v;
+        mate[static_cast<std::size_t>(v)] = u;
+        ++result.num_pairs;
+      }
+    }
+    std::erase_if(unmatched, [&](V32 u) {
+      return mate[static_cast<std::size_t>(u)] != kNoVertex<V32> ||
+             proposal[static_cast<std::size_t>(u)] == kNoVertex<V32>;
+    });
+  }
+  return result;
+}
+
+TEST(UnmatchedList, KeptProposalsMatchFullRescanReference) {
+  // Keeping a proposal whose target is still free must not change a
+  // single pair or the sweep count on one thread; on four threads the
+  // claim order varies, so only validity and maximality are fixed.
+  RmatParams rp;
+  rp.scale = 14;
+  rp.edge_factor = 8;
+  PlantedPartitionParams sp;
+  sp.num_vertices = 1 << 14;
+  sp.num_blocks = 256;
+  const std::vector<std::pair<const char*, CommunityGraph<V32>>> graphs = {
+      {"rmat14", build_community_graph(generate_rmat<V32>(rp))},
+      {"sbm14", build_community_graph(generate_planted_partition<V32>(sp))},
+      {"star", build_community_graph(make_star<V32>(2000))},
+      {"path", build_community_graph(make_path<V32>(2001))},
+  };
+  const int saved_threads = omp_get_max_threads();
+  for (const auto& [name, g] : graphs) {
+    SCOPED_TRACE(name);
+    std::vector<Score> scores;
+    score_edges(g, ModularityScorer{}, scores);
+    const auto reference = full_rescan_reference(g, scores);
+    ASSERT_GT(reference.num_pairs, 0);
+
+    omp_set_num_threads(1);
+    const auto serial = UnmatchedListMatcher<V32>{}.match(g, scores);
+    EXPECT_EQ(serial.mate, reference.mate);
+    EXPECT_EQ(serial.sweeps, reference.sweeps);
+    EXPECT_EQ(serial.num_pairs, reference.num_pairs);
+
+    omp_set_num_threads(4);
+    const auto threaded = UnmatchedListMatcher<V32>{}.match(g, scores);
+    EXPECT_TRUE(is_valid_matching(threaded));
+    EXPECT_TRUE(is_maximal_matching(g, scores, threaded));
+  }
+  omp_set_num_threads(saved_threads);
 }
 
 TEST(SequentialGreedy, DeterministicallyPicksHighestScores) {
