@@ -13,9 +13,6 @@
 // move schedule is racy by design (Staudt–Meyerhenke show the quality
 // loss is negligible), which makes labels nondeterministic run to run
 // while the modularity landed on is equivalent.
-//
-// This is the real Louvain implementation; baseline/louvain.hpp is a
-// thin compatibility wrapper over it.
 #pragma once
 
 #include <algorithm>

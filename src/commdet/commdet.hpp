@@ -37,7 +37,7 @@
 //   dyn/       batched edge updates with seeded (warm-start)
 //              re-agglomeration over a maintained clustering
 //   refine/    parallel local-move refinement (the paper's future work)
-//   baseline/  sequential CNM and Louvain references
+//   baseline/  sequential CNM reference
 //   platform/  host characteristics detection
 #pragma once
 
@@ -45,7 +45,6 @@
 #include "commdet/algo/louvain.hpp"
 #include "commdet/algo/plan.hpp"
 #include "commdet/baseline/cnm.hpp"
-#include "commdet/baseline/louvain.hpp"
 #include "commdet/cc/bfs.hpp"
 #include "commdet/cc/connected_components.hpp"
 #include "commdet/contract/bucket_sort_contractor.hpp"

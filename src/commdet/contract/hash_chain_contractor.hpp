@@ -130,9 +130,10 @@ class HashChainContractor {
       out.bucket_end[static_cast<std::size_t>(v)] = counts[static_cast<std::size_t>(v) + 1];
     });
 
-    // Library invariant: buckets sorted by second vertex.  (Baseline code
-    // path — the extra sort is irrelevant to what the ablation measures.)
-    // Keys are already unique, so no bucket shortens.
+    // Library invariant: buckets sorted by second vertex.  This shares
+    // the kernel's pass 3, so the ablation's timings include it, and its
+    // cost moves with that pass (dense-key buckets skip the sort).  Keys
+    // are already unique, so no bucket shortens.
     sort_and_accumulate_buckets<V>(std::span<const EdgeId>(counts), 0,
                                    std::span<V>(out.esecond), std::span<Weight>(out.eweight));
 

@@ -4,10 +4,13 @@
 // It is the paper's bucket-sort contraction (Sec. IV-C) generalized from
 // "each community absorbs at most one partner" to "any vertex ->
 // community map": counting pass, scatter into first-vertex buckets,
-// per-bucket sort-and-accumulate, contiguous copy-back.  The result
-// costs O(E + buckets) instead of the O(E log E) edge-list rebuild, and
-// every placement invariant of CommunityGraph (hashed edge order, sorted
-// buckets) holds by construction.
+// per-bucket sort-and-accumulate, contiguous copy-back.  The count and
+// scatter run over chunk-private histograms rather than the paper's
+// per-edge fetch-and-add.  The per-bucket step sorts only buckets whose
+// keys are spread wide; a bucket whose keys fall within a few words per
+// entry is accumulated by key into a dense array and read back through
+// a bitmap, in key order.  Every placement invariant of CommunityGraph
+// (hashed edge order, sorted buckets) holds by construction.
 //
 // Every unsharded contraction runs it: the per-level matching
 // contractor (BucketSortContractor relabels the matching and calls
@@ -20,6 +23,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -33,43 +37,102 @@
 
 namespace commdet {
 
+/// What sort_and_accumulate_buckets produced: each bucket's shortened
+/// length, and how many buckets took the dense-key path.
+struct BucketAccumulation {
+  std::vector<EdgeId> new_len;
+  std::int64_t dense_buckets = 0;
+};
+
 /// Pass 3 of every bucket-sort contraction: bucket v holds the
 /// (second; weight) entries [off[v] - base, off[v + 1] - base) of
-/// `second` / `weight` (`off` has one entry more than there are buckets).  Sorts each bucket by second vertex and sums
-/// duplicate seconds in place, shortening it; returns the new lengths.
-/// Sorting canonicalizes the layout, so the output does not depend on
-/// the order the entries were scattered in.
+/// `second` / `weight` (`off` has one entry more than there are
+/// buckets).  Orders each bucket by second vertex and sums duplicate
+/// seconds in place, shortening it.  The canonical layout does not
+/// depend on the order the entries were scattered in.
+///
+/// A bucket whose keys span few 64-bit words for its length (at most
+/// n * floor(log2 n) words for n entries) is accumulated by key instead
+/// of sorted: weights add into a per-thread dense array offset to the
+/// bucket's lowest word, a per-thread bitmap marks the keys present, and
+/// one in-order scan of the bitmap words emits (key, sum) and clears
+/// both.  Keys come out ascending and the sums are integers, so the
+/// result equals the sort's; the choice depends only on the bucket.
 template <VertexId V>
-std::vector<EdgeId> sort_and_accumulate_buckets(std::span<const EdgeId> off, EdgeId base,
-                                                std::span<V> second,
-                                                std::span<Weight> weight) {
+BucketAccumulation sort_and_accumulate_buckets(std::span<const EdgeId> off, EdgeId base,
+                                               std::span<V> second,
+                                               std::span<Weight> weight) {
   const auto nb = static_cast<std::int64_t>(off.size()) - 1;
-  std::vector<EdgeId> new_len(static_cast<std::size_t>(nb), 0);
+  BucketAccumulation result;
+  result.new_len.assign(static_cast<std::size_t>(nb), 0);
+  auto& new_len = result.new_len;
+  std::int64_t dense_buckets = 0;
   ExceptionCollector errors;
-#pragma omp parallel
+#pragma omp parallel reduction(+ : dense_buckets)
   {
     std::vector<std::pair<V, Weight>> scratch;
+    std::vector<Weight> acc;            // acc[key - origin], all zero between buckets
+    std::vector<std::uint64_t> present;  // bit (key - origin), all clear between buckets
 #pragma omp for schedule(dynamic, 64)
     for (std::int64_t v = 0; v < nb; ++v) {
       if (errors.armed()) continue;
       errors.run([&] {
         const EdgeId bb = off[static_cast<std::size_t>(v)] - base;
         const EdgeId be = off[static_cast<std::size_t>(v) + 1] - base;
-        if (bb == be) return;
-        scratch.clear();
-        for (EdgeId k = bb; k < be; ++k)
-          scratch.emplace_back(second[static_cast<std::size_t>(k)],
-                               weight[static_cast<std::size_t>(k)]);
-        std::sort(scratch.begin(), scratch.end(),
-                  [](const auto& x, const auto& y) { return x.first < y.first; });
+        const EdgeId n = be - bb;
+        new_len[static_cast<std::size_t>(v)] = n;
+        if (n < 2) return;
+
+        V lo = second[static_cast<std::size_t>(bb)];
+        V hi = lo;
+        for (EdgeId k = bb + 1; k < be; ++k) {
+          const V s = second[static_cast<std::size_t>(k)];
+          lo = std::min(lo, s);
+          hi = std::max(hi, s);
+        }
+        const std::int64_t first_word = static_cast<std::int64_t>(lo) >> 6;
+        const std::int64_t words = (static_cast<std::int64_t>(hi) >> 6) - first_word + 1;
         EdgeId w = bb;  // write cursor back into the bucket
-        for (std::size_t r = 0; r < scratch.size(); ++r) {
-          if (r > 0 && scratch[r].first == second[static_cast<std::size_t>(w - 1)]) {
-            weight[static_cast<std::size_t>(w - 1)] += scratch[r].second;
-          } else {
-            second[static_cast<std::size_t>(w)] = scratch[r].first;
-            weight[static_cast<std::size_t>(w)] = scratch[r].second;
-            ++w;
+        const auto log2n =
+            static_cast<std::int64_t>(std::bit_width(static_cast<std::uint64_t>(n))) - 1;
+        if (words <= n * log2n) {
+          ++dense_buckets;
+          const std::int64_t origin = first_word << 6;
+          const auto nwords = static_cast<std::size_t>(words);
+          if (present.size() < nwords) {
+            present.resize(nwords, 0);
+            acc.resize(nwords * 64, 0);
+          }
+          for (EdgeId k = bb; k < be; ++k) {
+            const auto key = static_cast<std::size_t>(
+                static_cast<std::int64_t>(second[static_cast<std::size_t>(k)]) - origin);
+            acc[key] += weight[static_cast<std::size_t>(k)];
+            present[key >> 6] |= std::uint64_t{1} << (key & 63);
+          }
+          for (std::size_t word = 0; word < nwords; ++word) {
+            for (auto bits = std::exchange(present[word], 0); bits != 0; bits &= bits - 1) {
+              const std::size_t key = (word << 6) + std::countr_zero(bits);
+              second[static_cast<std::size_t>(w)] =
+                  static_cast<V>(origin + static_cast<std::int64_t>(key));
+              weight[static_cast<std::size_t>(w)] = std::exchange(acc[key], 0);
+              ++w;
+            }
+          }
+        } else {
+          scratch.clear();
+          for (EdgeId k = bb; k < be; ++k)
+            scratch.emplace_back(second[static_cast<std::size_t>(k)],
+                                 weight[static_cast<std::size_t>(k)]);
+          std::sort(scratch.begin(), scratch.end(),
+                    [](const auto& x, const auto& y) { return x.first < y.first; });
+          for (std::size_t r = 0; r < scratch.size(); ++r) {
+            if (r > 0 && scratch[r].first == second[static_cast<std::size_t>(w - 1)]) {
+              weight[static_cast<std::size_t>(w - 1)] += scratch[r].second;
+            } else {
+              second[static_cast<std::size_t>(w)] = scratch[r].first;
+              weight[static_cast<std::size_t>(w)] = scratch[r].second;
+              ++w;
+            }
           }
         }
         new_len[static_cast<std::size_t>(v)] = w - bb;
@@ -77,7 +140,8 @@ std::vector<EdgeId> sort_and_accumulate_buckets(std::span<const EdgeId> off, Edg
     }
   }
   errors.rethrow_if_armed();
-  return new_len;
+  result.dense_buckets = dense_buckets;
+  return result;
 }
 
 /// Caller-owned storage that successive contractions recycle.  A fresh
@@ -239,12 +303,15 @@ template <VertexId V>
   chunk_count.clear();
   scatter_span.close();
 
-  // Pass 3: per-bucket sort by second vertex, accumulating duplicates.
+  // Pass 3: order each bucket by second vertex, accumulating duplicates
+  // (sorted, or accumulated by key when the bucket's keys are packed).
   obs::ScopedSpan sort_span("contract.sort");
   sort_span.attr("edges", static_cast<std::int64_t>(live));
-  const auto new_len = sort_and_accumulate_buckets<V>(
+  const auto accumulated = sort_and_accumulate_buckets<V>(
       std::span<const EdgeId>(counts), 0, std::span<V>(tmp_second),
       std::span<Weight>(tmp_weight));
+  const auto& new_len = accumulated.new_len;
+  sort_span.attr("dense_buckets", accumulated.dense_buckets);
   sort_span.close();
 
   // Pass 4: copy the shortened buckets out contiguously, filling in the

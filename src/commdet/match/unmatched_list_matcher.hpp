@@ -65,6 +65,7 @@ class UnmatchedListMatcher {
     obs::Counter* c_claim_conflicts = obs::counter("match.claim_conflicts");
     obs::Counter* c_sweeps = obs::counter("match.sweeps");
     obs::Counter* c_retries = obs::counter("match.list_retries");
+    obs::Counter* c_edges_scanned = obs::counter("match.edges_scanned");
 
     std::int64_t pairs = 0;
     while (!unmatched.empty()) {
@@ -79,6 +80,11 @@ class UnmatchedListMatcher {
       // unmatched set only shrinks, so the best offer over it stays the
       // best while its target is free.  The proposals are exactly those a
       // full rescan would make, at a fraction of the edge visits.
+      //
+      // Offers order by score first, so an edge scoring below the best
+      // offer so far cannot win; it is skipped before the random mate[]
+      // load and the tie hash.  An equal score still reaches the
+      // tie-break.
       parallel_for_dynamic(static_cast<std::int64_t>(unmatched.size()), [&](std::int64_t k) {
         const V u = unmatched[static_cast<std::size_t>(k)];
         const V previous = proposal[static_cast<std::size_t>(u)];
@@ -88,11 +94,12 @@ class UnmatchedListMatcher {
           return;
         }
         const auto [bb, be] = g.bucket(u);
+        if (c_edges_scanned != nullptr) c_edges_scanned->add(be - bb);
         Offer<V> best;
         V best_target = kNoVertex<V>;
         for (EdgeId e = bb; e < be; ++e) {
           const auto i = static_cast<std::size_t>(e);
-          if (scores[i] <= 0.0) continue;
+          if (scores[i] <= 0.0 || scores[i] < best.score) continue;
           const V v = g.esecond[i];
           if (atomic_load(mate[static_cast<std::size_t>(v)]) != kNoVertex<V>) continue;
           const auto offer = make_offer(scores[i], u, v);

@@ -156,7 +156,7 @@ template <VertexId V>
     const auto new_len = sort_and_accumulate_buckets<V>(
         std::span<const EdgeId>(cum).subspan(static_cast<std::size_t>(glo),
                                              static_cast<std::size_t>(gspan) + 1),
-        base, std::span<V>(tmp_second), std::span<Weight>(tmp_weight));
+        base, std::span<V>(tmp_second), std::span<Weight>(tmp_weight)).new_len;
 
     // Copy the shortened buckets into the destination blocks.
     for (int ds = gs; ds < ge; ++ds) {

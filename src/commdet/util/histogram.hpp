@@ -1,7 +1,9 @@
 // Parallel histogram with atomic fetch-and-add.
 //
-// Bucket-sort contraction counts edges per destination vertex with "an
-// atomic fetch-and-add" (Sec. IV-C); this implements that counting pass.
+// Counts keys into shared bins for the graph statistics (degree and
+// community-size distributions).  The contraction kernel does not use
+// it: it counts through chunk-private histograms instead of the
+// paper's per-edge fetch-and-add (contract/label_contractor.hpp).
 #pragma once
 
 #include <cstdint>

@@ -13,7 +13,6 @@
 #include "commdet/algo/cdlp.hpp"
 #include "commdet/algo/louvain.hpp"
 #include "commdet/algo/plan.hpp"
-#include "commdet/baseline/louvain.hpp"
 #include "commdet/cc/connected_components.hpp"
 #include "commdet/contract/label_contractor.hpp"
 #include "commdet/core/detect.hpp"
@@ -253,22 +252,6 @@ TEST(AlgoLouvain, RefineOffSkipsProvenanceTag) {
   const auto c = parallel_louvain(g, opts);
   expect_valid_partition(g, c);
   EXPECT_TRUE(c.algorithm->refine.empty());
-}
-
-TEST(AlgoLouvain, BaselineWrapperStillWorks) {
-  const auto g = build_community_graph(make_caveman<V32>(8, 6));
-  LouvainOptions opts;
-  // Deliberately pins the deprecated compatibility shim until removal.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const auto r = louvain_cluster(g, opts);
-#pragma GCC diagnostic pop
-  EXPECT_GT(r.modularity, 0.5);
-  EXPECT_GT(r.levels, 0);
-  EXPECT_EQ(static_cast<std::int64_t>(r.community.size()),
-            static_cast<std::int64_t>(g.nv));
-  EXPECT_GT(r.num_communities, 0);
-  EXPECT_LE(r.num_communities, static_cast<std::int64_t>(g.nv));
 }
 
 TEST(AlgoContractor, MatchesManualContraction) {

@@ -3,7 +3,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <random>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -323,6 +326,87 @@ TEST(ContractionBuffers, SpareOfAnySizeGivesTheFreshOutput) {
     large.scatter_weight.assign(static_cast<std::size_t>(g.num_edges()) * 2, 3);
     expect_identical(fresh, BucketSortContractor<V32>{}.contract(g, m, large), "large spare");
     EXPECT_TRUE(large.spare.efirst.empty()) << "the output takes over the spare";
+  }
+}
+
+TEST(SortAndAccumulate, DenseAndSortedPathsMatchReference) {
+  // Buckets of every shape the two paths split on: keys packed within a
+  // few words (dense accumulation), keys spread wide (sort), plus empty,
+  // single-entry, all-duplicate, word-boundary and near-maximum keys,
+  // and zero weights, which must still be emitted.  The offsets carry a
+  // non-zero base, as shard_contract passes them.
+  using Bucket = std::vector<std::pair<V32, Weight>>;
+  std::vector<Bucket> buckets = {
+      {},
+      {{7, 3}},
+      Bucket(50, {42, 2}),
+      {{128, 1}, {63, 2}, {64, 3}, {127, 4}, {63, 5}, {128, 6}, {0, 7}, {64, 8}},
+      {{1000000, 1}, {5, 1}},
+      {{std::numeric_limits<V32>::max(), 1}, {std::numeric_limits<V32>::max() - 70, 2},
+       {std::numeric_limits<V32>::max(), 3}, {std::numeric_limits<V32>::max() - 64, 0}},
+      {{9, 0}, {9, 0}, {3, 0}},
+  };
+  std::mt19937_64 rng(14);
+  for (int b = 0; b < 3000; ++b) {
+    const auto n = static_cast<int>(rng() % 4 == 0 ? rng() % 600 : rng() % 24);
+    const bool packed = rng() % 2 == 0;
+    const auto lo = static_cast<V32>(rng() % (1 << 20));
+    const auto span = packed ? static_cast<V32>(1 + rng() % (64 * 4)) : V32{1 << 30};
+    Bucket bucket;
+    for (int k = 0; k < n; ++k)
+      bucket.emplace_back(packed ? lo + static_cast<V32>(rng() % span)
+                                 : static_cast<V32>(rng() % span),
+                          static_cast<Weight>(rng() % 5));
+    buckets.push_back(std::move(bucket));
+  }
+
+  const EdgeId base = 12345;
+  std::vector<EdgeId> off{base};
+  std::vector<V32> second;
+  std::vector<Weight> weight;
+  std::vector<Bucket> expected;
+  for (const auto& bucket : buckets) {
+    for (const auto& [s, w] : bucket) {
+      second.push_back(s);
+      weight.push_back(w);
+    }
+    off.push_back(off.back() + static_cast<EdgeId>(bucket.size()));
+    auto sorted = bucket;
+    std::sort(sorted.begin(), sorted.end());
+    Bucket merged;
+    for (const auto& [s, w] : sorted) {
+      if (!merged.empty() && merged.back().first == s)
+        merged.back().second += w;
+      else
+        merged.emplace_back(s, w);
+    }
+    expected.push_back(std::move(merged));
+  }
+
+  ThreadCountGuard guard;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    omp_set_num_threads(threads);
+    auto out_second = second;
+    auto out_weight = weight;
+    const auto result = sort_and_accumulate_buckets<V32>(
+        std::span<const EdgeId>(off), base, std::span<V32>(out_second),
+        std::span<Weight>(out_weight));
+    ASSERT_EQ(result.new_len.size(), buckets.size());
+    for (std::size_t v = 0; v < buckets.size(); ++v) {
+      SCOPED_TRACE(testing::Message() << "bucket " << v);
+      ASSERT_EQ(result.new_len[v], static_cast<EdgeId>(expected[v].size()));
+      const auto at = static_cast<std::size_t>(off[v] - base);
+      Bucket got;
+      for (std::size_t k = 0; k < expected[v].size(); ++k)
+        got.emplace_back(out_second[at + k], out_weight[at + k]);
+      ASSERT_EQ(got, expected[v]);
+    }
+    // Both paths ran: some multi-entry buckets accumulated by key, some sorted.
+    const auto multi = std::count_if(buckets.begin(), buckets.end(),
+                                     [](const Bucket& b) { return b.size() > 1; });
+    EXPECT_GT(result.dense_buckets, 0);
+    EXPECT_LT(result.dense_buckets, multi);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "commdet/contract/bucket_sort_contractor.hpp"
 #include "commdet/gen/erdos_renyi.hpp"
 #include "commdet/gen/planted_partition.hpp"
 #include "commdet/gen/rmat.hpp"
@@ -290,6 +291,43 @@ TEST(UnmatchedList, KeptProposalsMatchFullRescanReference) {
     const auto threaded = UnmatchedListMatcher<V32>{}.match(g, scores);
     EXPECT_TRUE(is_valid_matching(threaded));
     EXPECT_TRUE(is_maximal_matching(g, scores, threaded));
+  }
+  omp_set_num_threads(saved_threads);
+}
+
+TEST(UnmatchedList, PrunedScanMatchesFullRescanOnCoarseLevels) {
+  // Coarse levels have weighted edges and long buckets, where skipping
+  // candidates that score below the best offer so far prunes the most.
+  // At every level the one-thread matcher must equal the full rescan.
+  RmatParams rp;
+  rp.scale = 14;
+  rp.edge_factor = 8;
+  PlantedPartitionParams sp;
+  sp.num_vertices = 1 << 14;
+  sp.num_blocks = 256;
+  const std::vector<std::pair<const char*, CommunityGraph<V32>>> graphs = {
+      {"rmat14", build_community_graph(generate_rmat<V32>(rp))},
+      {"sbm14", build_community_graph(generate_planted_partition<V32>(sp))},
+  };
+  const int saved_threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  for (const auto& [name, input] : graphs) {
+    SCOPED_TRACE(name);
+    auto g = input;
+    int level = 1;
+    for (; level <= 8; ++level) {
+      SCOPED_TRACE(testing::Message() << "level " << level);
+      std::vector<Score> scores;
+      score_edges(g, ModularityScorer{}, scores);
+      const auto reference = full_rescan_reference(g, scores);
+      const auto pruned = UnmatchedListMatcher<V32>{}.match(g, scores);
+      EXPECT_EQ(pruned.mate, reference.mate);
+      EXPECT_EQ(pruned.sweeps, reference.sweeps);
+      EXPECT_EQ(pruned.num_pairs, reference.num_pairs);
+      if (pruned.num_pairs == 0) break;
+      g = BucketSortContractor<V32>{}.contract(g, pruned).graph;
+    }
+    EXPECT_GT(level, 3) << "too few levels to reach weighted, long buckets";
   }
   omp_set_num_threads(saved_threads);
 }

@@ -8,6 +8,7 @@
 #include <omp.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "commdet/core/agglomerate.hpp"
@@ -424,6 +426,26 @@ TEST(ObsReport, InstrumentedRunTracesEveryPhase) {
   EXPECT_GT(snap.at("match.proposals"), 0);
   EXPECT_GT(snap.at("contract.edges_in"), 0);
   ASSERT_TRUE(snap.contains("agglomerate.rss_hwm_bytes"));
+}
+
+TEST(ObsReport, KernelSpansAndCountersExplainSortAndMatchWork) {
+  // Every contract.sort span says how many buckets took the dense-key
+  // path, and match.edges_scanned counts the bucket entries the matcher
+  // rescanned: at least every edge of the first level's first sweep.
+  ObservedRun run;
+  std::size_t sort_spans = 0;
+  std::int64_t dense_buckets = 0;
+  for (const auto& s : run.trace.spans()) {
+    if (s.name != "contract.sort") continue;
+    ++sort_spans;
+    const auto attr = std::find_if(s.attrs.begin(), s.attrs.end(),
+                                   [](const obs::Attr& a) { return a.key == "dense_buckets"; });
+    ASSERT_NE(attr, s.attrs.end());
+    dense_buckets += std::get<std::int64_t>(attr->value);
+  }
+  EXPECT_EQ(sort_spans, run.clustering.levels.size());
+  EXPECT_GT(dense_buckets, 0) << "caveman cliques pack each bucket into one word";
+  EXPECT_GE(run.metrics.snapshot().at("match.edges_scanned"), run.graph.num_edges());
 }
 
 TEST(ObsReport, DetectionReportValidatesAndCarriesSchema) {
