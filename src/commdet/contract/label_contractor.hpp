@@ -12,24 +12,28 @@
 // a bitmap, in key order.  Every placement invariant of CommunityGraph
 // (hashed edge order, sorted buckets) holds by construction.
 //
-// Every unsharded contraction runs it: the per-level matching
-// contractor (BucketSortContractor relabels the matching and calls
-// it), the dyn/ warm start (contract the surviving assignment into a
-// seeded community graph) and the parallel Louvain backend (aggregate a
-// level's local-move labeling into the next coarser graph).  The
-// per-bucket sort-and-accumulate step is also the sort step of the
-// sharded contraction (shard/shard_contract.hpp).
+// Every contraction runs it: the per-level matching contractor
+// (BucketSortContractor relabels the matching and calls it), the dyn/
+// warm start (contract the surviving assignment into a seeded community
+// graph), the parallel Louvain backend (aggregate a level's local-move
+// labeling into the next coarser graph) and the sharded contraction
+// (shard/shard_contract.hpp).  Each pass takes one edge range and a
+// bucket window, so the sharded path calls the same passes block by
+// block: count_label_range carries each bucket's running cursor from
+// one block to the next, and copy_out_buckets writes a window into one
+// destination block.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "commdet/contract/relabel.hpp"
 #include "commdet/graph/community_graph.hpp"
+#include "commdet/obs/metrics.hpp"
 #include "commdet/obs/trace.hpp"
 #include "commdet/util/parallel.hpp"
 #include "commdet/util/prefix_sum.hpp"
@@ -181,6 +185,163 @@ void resize_for_overwrite(std::vector<T>& v, std::size_t n) {
 
 }  // namespace detail
 
+/// One edge range cut into `nchunks` contiguous chunks; `cursor[c]`
+/// holds chunk c's next slot in each bucket of the window [lo, hi),
+/// relative to the bucket's start (count_label_range -> scatter).
+template <VertexId V>
+struct LabelChunks {
+  V lo = 0;
+  V hi = 0;
+  EdgeId ne = 0;
+  std::int64_t nchunks = 1;
+  std::vector<std::vector<EdgeId>> cursor;
+
+  [[nodiscard]] EdgeId chunk_begin(std::int64_t c) const noexcept {
+    return static_cast<EdgeId>((static_cast<std::int64_t>(ne) * c) / nchunks);
+  }
+};
+
+/// Pass 1 over one edge range: relabels both endpoints of every edge,
+/// folds intra-label edges into `self` (one slot per label, or empty for
+/// no fold), and counts each surviving edge toward its hashed-first
+/// bucket if that falls in the window [lo, hi).
+/// `running[b - lo]`, the entries earlier ranges placed in bucket b, is
+/// advanced past this range's.  Counts are chunk-private and each
+/// chunk's cursor starts where the previous chunk's ends, so nothing is
+/// an atomic: the paper's per-edge fetch-adds serialize wherever
+/// placements pile onto one slot (a big class's self weight, a hub's
+/// bucket).  At most ne / slots chunks, so the histograms hold at most
+/// one entry per edge of the range, or one per window bucket and label.
+template <EdgeRange E, VertexId V>
+[[nodiscard]] LabelChunks<V> count_label_range(const E& edges, std::span<const V> labels, V lo,
+                                               V hi, std::span<EdgeId> running,
+                                               std::span<Weight> self) {
+  const auto window = static_cast<std::int64_t>(hi - lo);
+  const auto nself = static_cast<std::int64_t>(self.size());
+  LabelChunks<V> chunks;
+  chunks.lo = lo;
+  chunks.hi = hi;
+  chunks.ne = edges.num_edges();
+  chunks.nchunks = std::clamp<std::int64_t>(
+      static_cast<std::int64_t>(chunks.ne) / std::max<std::int64_t>({window, nself, 1}), 1,
+      std::max(1, omp_get_max_threads()));
+  chunks.cursor.resize(static_cast<std::size_t>(chunks.nchunks));
+  const bool fold = nself > 0;
+  obs::Counter* c_folded = fold ? obs::counter("contract.self_edges_folded") : nullptr;
+  std::vector<std::vector<Weight>> chunk_self(fold ? static_cast<std::size_t>(chunks.nchunks)
+                                                   : 0);
+  parallel_for_dynamic(chunks.nchunks, [&](std::int64_t c) {
+    const V wlo = lo;  // locals: the stores below cannot alias them
+    const V whi = hi;
+    auto& cnt = chunks.cursor[static_cast<std::size_t>(c)];
+    cnt.assign(static_cast<std::size_t>(window), 0);
+    Weight* slf = nullptr;
+    if (fold) {
+      chunk_self[static_cast<std::size_t>(c)].assign(self.size(), 0);
+      slf = chunk_self[static_cast<std::size_t>(c)].data();
+    }
+    std::int64_t folded = 0;
+    const EdgeId ee = chunks.chunk_begin(c + 1);
+    for (EdgeId i = chunks.chunk_begin(c); i < ee; ++i) {
+      const auto ii = static_cast<std::size_t>(i);
+      const V a = labels[static_cast<std::size_t>(edges.efirst[ii])];
+      const V b = labels[static_cast<std::size_t>(edges.esecond[ii])];
+      if (a == b) {
+        if (slf != nullptr) {
+          slf[static_cast<std::size_t>(a)] += edges.eweight[ii];
+          ++folded;
+        }
+        continue;
+      }
+      const auto [f, s] = hashed_edge_order(a, b);
+      if (f >= wlo && f < whi) ++cnt[static_cast<std::size_t>(f - wlo)];
+    }
+    if (c_folded != nullptr) c_folded->add(folded);
+  }, /*chunk=*/1);
+
+  // Per-bucket reduction: chunk cursors from the running cursor, and the
+  // folded self weights, in one parallel sweep.
+  parallel_for(std::max(window, nself), [&](std::int64_t b) {
+    const auto bi = static_cast<std::size_t>(b);
+    if (b < window) {
+      EdgeId at = running[bi];
+      for (auto& cnt : chunks.cursor) at += std::exchange(cnt[bi], at);
+      running[bi] = at;
+    }
+    if (b < nself)
+      for (const auto& slf : chunk_self) self[bi] += slf[bi];
+  });
+  return chunks;
+}
+
+/// Pass 2: places each surviving edge (f, s; w) of the window as (s; w)
+/// at off[f - lo] - base plus its chunk's next cursor.  `edges` and
+/// `labels` are those `chunks` was counted from.
+template <EdgeRange E, VertexId V>
+void scatter_label_range(const E& edges, std::span<const V> labels, LabelChunks<V>& chunks,
+                         std::span<const EdgeId> off, EdgeId base, std::span<V> second,
+                         std::span<Weight> weight) {
+  parallel_for_dynamic(chunks.nchunks, [&](std::int64_t c) {
+    const V lo = chunks.lo;  // locals: the stores below cannot alias them
+    const V hi = chunks.hi;
+    const EdgeId* at_off = off.data();
+    const EdgeId at_base = base;
+    auto& cur = chunks.cursor[static_cast<std::size_t>(c)];
+    const EdgeId ee = chunks.chunk_begin(c + 1);
+    for (EdgeId i = chunks.chunk_begin(c); i < ee; ++i) {
+      const auto ii = static_cast<std::size_t>(i);
+      const V a = labels[static_cast<std::size_t>(edges.efirst[ii])];
+      const V b = labels[static_cast<std::size_t>(edges.esecond[ii])];
+      if (a == b) continue;
+      const auto [f, s] = hashed_edge_order(a, b);
+      if (f < lo || f >= hi) continue;
+      const auto fi = static_cast<std::size_t>(f - lo);
+      const EdgeId at = at_off[fi] - at_base + cur[fi]++;
+      second[static_cast<std::size_t>(at)] = s;
+      weight[static_cast<std::size_t>(at)] = edges.eweight[ii];
+    }
+  }, /*chunk=*/1);
+}
+
+/// Pass 4: copies buckets lo, lo + 1, ... (bucket v's len[v] entries
+/// start at off[v] - base in `second` / `weight`) contiguously into
+/// `out`'s edge arrays and bucket cursors, filling in the implicit first
+/// vertex.  `out` is a CommunityGraph or a shard block (cursors indexed
+/// by v - lo).  Returns the number of edges written.
+template <typename Out, VertexId V>
+EdgeId copy_out_buckets(std::span<const EdgeId> off, EdgeId base, std::span<const EdgeId> len,
+                        std::span<const V> second, std::span<const Weight> weight, V lo,
+                        Out& out) {
+  const auto nb = static_cast<std::int64_t>(len.size());
+  std::vector<EdgeId> final_off(len.begin(), len.end());
+  final_off.push_back(0);
+  const EdgeId final_ne = exclusive_prefix_sum(std::span<EdgeId>(final_off));
+  detail::resize_for_overwrite(out.efirst, static_cast<std::size_t>(final_ne));
+  detail::resize_for_overwrite(out.esecond, static_cast<std::size_t>(final_ne));
+  detail::resize_for_overwrite(out.eweight, static_cast<std::size_t>(final_ne));
+  parallel_for_dynamic(nb, [&](std::int64_t v) {
+    const EdgeId src = off[static_cast<std::size_t>(v)] - base;
+    const EdgeId dst = final_off[static_cast<std::size_t>(v)];
+    const EdgeId n = len[static_cast<std::size_t>(v)];
+    const V first = lo + static_cast<V>(v);
+    for (EdgeId k = 0; k < n; ++k) {
+      const auto to = static_cast<std::size_t>(dst + k);
+      const auto from = static_cast<std::size_t>(src + k);
+      out.efirst[to] = first;
+      out.esecond[to] = second[from];
+      out.eweight[to] = weight[from];
+    }
+  });
+
+  out.bucket_begin.assign(final_off.begin(), final_off.end() - 1);
+  out.bucket_end.assign(static_cast<std::size_t>(nb), 0);
+  parallel_for(nb, [&](std::int64_t v) {
+    out.bucket_end[static_cast<std::size_t>(v)] =
+        final_off[static_cast<std::size_t>(v)] + len[static_cast<std::size_t>(v)];
+  });
+  return final_ne;
+}
+
 /// Contracts `base` by the dense labeling `labels` (values in
 /// [0, num_labels)): every label class becomes one vertex carrying its
 /// members' collapsed internal weight as a self-loop; volumes and total
@@ -194,88 +355,21 @@ template <VertexId V>
                                                    std::span<const V> labels,
                                                    std::int64_t num_labels,
                                                    ContractionBuffers<V>& buffers) {
-  const auto nv = static_cast<std::int64_t>(base.nv);
-  const EdgeId ne = base.num_edges();
-
+  const auto n = static_cast<std::size_t>(num_labels);
   CommunityGraph<V> out = std::exchange(buffers.spare, CommunityGraph<V>{});
   out.nv = static_cast<V>(num_labels);
   out.total_weight = base.total_weight;
-  out.volume.assign(static_cast<std::size_t>(num_labels), 0);
-  out.self_weight.assign(static_cast<std::size_t>(num_labels), 0);
+  out.volume.assign(n, 0);
+  out.self_weight.assign(n, 0);
 
   obs::ScopedSpan count_span("contract.count");
-  count_span.attr("edges", static_cast<std::int64_t>(ne));
-
-  // Per-vertex state is additive under contraction: volumes scatter-add,
-  // member self-loops fold into the community self weight.
-  parallel_for(nv, [&](std::int64_t v) {
-    const auto vi = static_cast<std::size_t>(v);
-    const auto c = static_cast<std::size_t>(labels[vi]);
-    std::atomic_ref<Weight>(out.volume[c])
-        .fetch_add(base.volume[vi], std::memory_order_relaxed);
-    if (base.self_weight[vi] > 0)
-      std::atomic_ref<Weight>(out.self_weight[c])
-          .fetch_add(base.self_weight[vi], std::memory_order_relaxed);
-  });
-
-  // Passes 1-2: count surviving (cross-community) edges per first
-  // bucket, then scatter (second; weight) into the buckets.  Per-edge
-  // atomic fetch-adds on shared counters (the paper's formulation)
-  // serialize wherever placements pile onto few targets — every
-  // intra-community edge of a big class folds into one self-weight slot,
-  // and hub buckets draw millions of placements — and cost a locked
-  // read-modify-write per edge even when they do not.  Instead the edge
-  // range is cut into chunks with private histograms; a per-bucket
-  // prefix over the chunks turns them into private cursors, and the
-  // scatter runs without a single atomic.  The chunk count is capped at
-  // ne / num_labels, so the histograms hold at most one count and one
-  // self-weight slot per input edge whatever the thread count.
-  const std::int64_t nchunks = std::clamp<std::int64_t>(
-      static_cast<std::int64_t>(ne) / std::max<std::int64_t>(num_labels, 1), 1,
-      std::max(1, omp_get_max_threads()));
-  const auto chunk_begin = [&](std::int64_t c) {
-    return static_cast<EdgeId>((static_cast<std::int64_t>(ne) * c) / nchunks);
-  };
-  std::vector<std::vector<EdgeId>> chunk_count(static_cast<std::size_t>(nchunks));
-  std::vector<std::vector<Weight>> chunk_self(static_cast<std::size_t>(nchunks));
-  parallel_for_dynamic(nchunks, [&](std::int64_t c) {
-    auto& cnt = chunk_count[static_cast<std::size_t>(c)];
-    auto& slf = chunk_self[static_cast<std::size_t>(c)];
-    cnt.assign(static_cast<std::size_t>(num_labels), 0);
-    slf.assign(static_cast<std::size_t>(num_labels), 0);
-    const EdgeId ee = chunk_begin(c + 1);
-    for (EdgeId i = chunk_begin(c); i < ee; ++i) {
-      const auto ii = static_cast<std::size_t>(i);
-      const V a = labels[static_cast<std::size_t>(base.efirst[ii])];
-      const V b = labels[static_cast<std::size_t>(base.esecond[ii])];
-      if (a == b) {
-        slf[static_cast<std::size_t>(a)] += base.eweight[ii];
-        continue;
-      }
-      const auto [f, s] = hashed_edge_order(a, b);
-      ++cnt[static_cast<std::size_t>(f)];
-    }
-  }, /*chunk=*/1);
-
-  // Per-bucket reduction: bucket totals, chunk-local cursor prefixes,
-  // and the folded self weights, one parallel sweep over the buckets.
-  std::vector<EdgeId> counts(static_cast<std::size_t>(num_labels) + 1, 0);
-  parallel_for(num_labels, [&](std::int64_t b) {
-    const auto bi = static_cast<std::size_t>(b);
-    EdgeId total = 0;
-    Weight sw = 0;
-    for (std::int64_t c = 0; c < nchunks; ++c) {
-      auto& cnt = chunk_count[static_cast<std::size_t>(c)];
-      const EdgeId here = cnt[bi];
-      cnt[bi] = total;  // becomes the chunk's private cursor base
-      total += here;
-      sw += chunk_self[static_cast<std::size_t>(c)][bi];
-    }
-    counts[bi] = total;
-    out.self_weight[bi] += sw;
-  });
-  chunk_self.clear();  // released before the scatter scratch is allocated
-
+  count_span.attr("edges", static_cast<std::int64_t>(base.num_edges()));
+  fold_vertex_state(base, labels, std::span<Weight>(out.self_weight),
+                    std::span<Weight>(out.volume));
+  std::vector<EdgeId> counts(n + 1, 0);
+  auto chunks = count_label_range(base, labels, V{0}, out.nv,
+                                  std::span<EdgeId>(counts).first(n),
+                                  std::span<Weight>(out.self_weight));
   const EdgeId live = exclusive_prefix_sum(std::span<EdgeId>(counts));
   count_span.close();
 
@@ -285,22 +379,9 @@ template <VertexId V>
   auto& tmp_weight = buffers.scatter_weight;
   detail::resize_for_overwrite(tmp_second, static_cast<std::size_t>(live));
   detail::resize_for_overwrite(tmp_weight, static_cast<std::size_t>(live));
-  parallel_for_dynamic(nchunks, [&](std::int64_t c) {
-    auto& cur = chunk_count[static_cast<std::size_t>(c)];
-    const EdgeId ee = chunk_begin(c + 1);
-    for (EdgeId i = chunk_begin(c); i < ee; ++i) {
-      const auto ii = static_cast<std::size_t>(i);
-      const V a = labels[static_cast<std::size_t>(base.efirst[ii])];
-      const V b = labels[static_cast<std::size_t>(base.esecond[ii])];
-      if (a == b) continue;
-      const auto [f, s] = hashed_edge_order(a, b);
-      const auto fi = static_cast<std::size_t>(f);
-      const EdgeId at = counts[fi] + cur[fi]++;
-      tmp_second[static_cast<std::size_t>(at)] = s;
-      tmp_weight[static_cast<std::size_t>(at)] = base.eweight[ii];
-    }
-  }, /*chunk=*/1);
-  chunk_count.clear();
+  scatter_label_range(base, labels, chunks, std::span<const EdgeId>(counts), 0,
+                      std::span<V>(tmp_second), std::span<Weight>(tmp_weight));
+  chunks = {};
   scatter_span.close();
 
   // Pass 3: order each bucket by second vertex, accumulating duplicates
@@ -310,39 +391,14 @@ template <VertexId V>
   const auto accumulated = sort_and_accumulate_buckets<V>(
       std::span<const EdgeId>(counts), 0, std::span<V>(tmp_second),
       std::span<Weight>(tmp_weight));
-  const auto& new_len = accumulated.new_len;
   sort_span.attr("dense_buckets", accumulated.dense_buckets);
   sort_span.close();
 
-  // Pass 4: copy the shortened buckets out contiguously, filling in the
-  // implicit first vertex.
   obs::ScopedSpan copy_span("contract.copy");
-  std::vector<EdgeId> final_off(new_len.begin(), new_len.end());
-  final_off.push_back(0);
-  const EdgeId final_ne = exclusive_prefix_sum(std::span<EdgeId>(final_off));
+  const EdgeId final_ne = copy_out_buckets(
+      std::span<const EdgeId>(counts), 0, std::span<const EdgeId>(accumulated.new_len),
+      std::span<const V>(tmp_second), std::span<const Weight>(tmp_weight), V{0}, out);
   copy_span.attr("edges", static_cast<std::int64_t>(final_ne));
-  detail::resize_for_overwrite(out.efirst, static_cast<std::size_t>(final_ne));
-  detail::resize_for_overwrite(out.esecond, static_cast<std::size_t>(final_ne));
-  detail::resize_for_overwrite(out.eweight, static_cast<std::size_t>(final_ne));
-  parallel_for_dynamic(num_labels, [&](std::int64_t v) {
-    const EdgeId src = counts[static_cast<std::size_t>(v)];
-    const EdgeId dst = final_off[static_cast<std::size_t>(v)];
-    const EdgeId len = new_len[static_cast<std::size_t>(v)];
-    for (EdgeId k = 0; k < len; ++k) {
-      out.efirst[static_cast<std::size_t>(dst + k)] = static_cast<V>(v);
-      out.esecond[static_cast<std::size_t>(dst + k)] =
-          tmp_second[static_cast<std::size_t>(src + k)];
-      out.eweight[static_cast<std::size_t>(dst + k)] =
-          tmp_weight[static_cast<std::size_t>(src + k)];
-    }
-  });
-
-  out.bucket_begin.assign(final_off.begin(), final_off.end() - 1);
-  out.bucket_end.assign(static_cast<std::size_t>(num_labels), 0);
-  parallel_for(num_labels, [&](std::int64_t v) {
-    out.bucket_end[static_cast<std::size_t>(v)] =
-        final_off[static_cast<std::size_t>(v)] + new_len[static_cast<std::size_t>(v)];
-  });
   return out;
 }
 

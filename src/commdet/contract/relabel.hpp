@@ -15,7 +15,6 @@
 
 #include "commdet/graph/community_graph.hpp"
 #include "commdet/match/matching.hpp"
-#include "commdet/util/atomics.hpp"
 #include "commdet/util/parallel.hpp"
 #include "commdet/util/prefix_sum.hpp"
 #include "commdet/util/types.hpp"
@@ -55,6 +54,24 @@ template <VertexId V>
   return out;
 }
 
+/// Folds per-vertex state into labels: state is additive under
+/// contraction, so each vertex's volume adds into its label's and its
+/// self-loop weight into the label's self weight.  `self` and `volume`
+/// are num_labels long and are added to (relabel convention: volumes are
+/// final, self weights still lack the intra-label edges the contractor's
+/// edge pass folds in).
+template <VertexState G, VertexId V>
+void fold_vertex_state(const G& g, std::span<const V> labels, std::span<Weight> self,
+                       std::span<Weight> volume) {
+  parallel_for(static_cast<std::int64_t>(g.nv), [&](std::int64_t v) {
+    const auto vi = static_cast<std::size_t>(v);
+    const auto c = static_cast<std::size_t>(labels[vi]);
+    std::atomic_ref<Weight>(volume[c]).fetch_add(g.volume[vi], std::memory_order_relaxed);
+    if (g.self_weight[vi] > 0)
+      std::atomic_ref<Weight>(self[c]).fetch_add(g.self_weight[vi], std::memory_order_relaxed);
+  });
+}
+
 template <VertexId V>
 struct RelabelResult {
   V new_nv = 0;
@@ -68,7 +85,6 @@ struct RelabelResult {
 template <VertexId V>
 [[nodiscard]] RelabelResult<V> relabel_matched(const CommunityGraph<V>& g,
                                                const Matching<V>& m) {
-  const auto nv = static_cast<std::int64_t>(g.nv);
   auto labels = matching_labels(m);
 
   RelabelResult<V> out;
@@ -76,13 +92,8 @@ template <VertexId V>
   out.new_label = std::move(labels.label);
   out.self_weight.assign(static_cast<std::size_t>(out.new_nv), 0);
   out.volume.assign(static_cast<std::size_t>(out.new_nv), 0);
-  parallel_for(nv, [&](std::int64_t v) {
-    const auto nl = static_cast<std::size_t>(out.new_label[static_cast<std::size_t>(v)]);
-    std::atomic_ref<Weight>(out.self_weight[nl])
-        .fetch_add(g.self_weight[static_cast<std::size_t>(v)], std::memory_order_relaxed);
-    std::atomic_ref<Weight>(out.volume[nl])
-        .fetch_add(g.volume[static_cast<std::size_t>(v)], std::memory_order_relaxed);
-  });
+  fold_vertex_state(g, std::span<const V>(out.new_label), std::span<Weight>(out.self_weight),
+                    std::span<Weight>(out.volume));
   return out;
 }
 

@@ -138,9 +138,10 @@ class LazyCommunityMap {
 };
 
 /// Modularity of the current community graph's partition:
-/// sum_c [ self(c)/W - (vol(c)/2W)^2 ].
-template <VertexId V>
-[[nodiscard]] double partition_modularity(const CommunityGraph<V>& g) {
+/// sum_c [ self(c)/W - (vol(c)/2W)^2 ].  Reads only the per-vertex
+/// state, so the sharded driver evaluates its graph with it too.
+template <VertexState G>
+[[nodiscard]] double partition_modularity(const G& g) {
   if (g.total_weight == 0) return 0.0;
   const auto w = static_cast<double>(g.total_weight);
   return parallel_sum<double>(static_cast<std::int64_t>(g.nv), [&](std::int64_t c) {
@@ -151,8 +152,8 @@ template <VertexId V>
 }
 
 /// Coverage: fraction of total weight collapsed inside communities.
-template <VertexId V>
-[[nodiscard]] double partition_coverage(const CommunityGraph<V>& g) {
+template <VertexState G>
+[[nodiscard]] double partition_coverage(const G& g) {
   if (g.total_weight == 0) return 1.0;
   const Weight inside =
       parallel_sum<Weight>(static_cast<std::int64_t>(g.nv), [&](std::int64_t c) {

@@ -30,28 +30,44 @@
 
 namespace commdet {
 
+/// One breadth-first halo step over an edge range: every edge with
+/// exactly one dirty endpoint marks the other in `next`.  Reading
+/// `dirty` and writing `next` (double-buffering) keeps the radius exact
+/// whatever order the edges and ranges are swept in.  Returns the number
+/// of such frontier edges.
+template <EdgeRange E>
+std::int64_t halo_hop(const E& edges, std::span<const std::uint8_t> dirty,
+                      std::span<std::uint8_t> next) {
+  return parallel_sum<std::int64_t>(static_cast<std::int64_t>(edges.num_edges()),
+                                    [&](std::int64_t e) {
+    const auto i = static_cast<std::size_t>(e);
+    const auto f = static_cast<std::size_t>(edges.efirst[i]);
+    const auto s = static_cast<std::size_t>(edges.esecond[i]);
+    if (dirty[f] == dirty[s]) return std::int64_t{0};
+    // Benign same-value race: every writer stores 1.
+    next[dirty[f] ? s : f] = 1;
+    return std::int64_t{1};
+  });
+}
+
 /// Expands `touched` by `hops` breadth-first steps over g's edges and
 /// returns the dirty-vertex flags.  Each pass is one parallel sweep over
 /// the edge array (the hashed-bucket layout has no per-vertex adjacency
-/// to chase, but E-sized sweeps are exactly what the machine likes);
-/// double-buffering keeps the radius exact.
-template <VertexId V>
-[[nodiscard]] std::vector<std::uint8_t> expand_halo(const CommunityGraph<V>& g,
-                                                    std::span<const V> touched,
+/// to chase, but E-sized sweeps are exactly what the machine likes).
+/// `g` is a CommunityGraph or a ShardedGraph; a sharded hop sweeps one
+/// leased block at a time, and cut edges carry dirtiness across shard
+/// boundaries through the shared flags (in a multi-node port: a
+/// ghost-flag exchange per hop).
+template <typename G, VertexId V>
+[[nodiscard]] std::vector<std::uint8_t> expand_halo(G& g, std::span<const V> touched,
                                                     int hops) {
   std::vector<std::uint8_t> dirty(static_cast<std::size_t>(g.nv), 0);
   for (const V v : touched) dirty[static_cast<std::size_t>(v)] = 1;
-  const EdgeId ne = g.num_edges();
   for (int h = 0; h < hops; ++h) {
     std::vector<std::uint8_t> next(dirty);
-    parallel_for(ne, [&](std::int64_t e) {
-      const auto i = static_cast<std::size_t>(e);
-      const auto f = static_cast<std::size_t>(g.efirst[i]);
-      const auto s = static_cast<std::size_t>(g.esecond[i]);
-      if (dirty[f] != dirty[s]) {
-        // Benign same-value race: every writer stores 1.
-        next[dirty[f] ? s : f] = 1;
-      }
+    for_each_edge_range(g, [&](const auto& edges) {
+      (void)halo_hop(edges, std::span<const std::uint8_t>(dirty),
+                     std::span<std::uint8_t>(next));
     });
     dirty = std::move(next);
   }
@@ -72,8 +88,8 @@ struct AdaptiveHalo {
 /// that is still strongly coupled to its surroundings (high share)
 /// keeps expanding; one that has absorbed its neighborhood (low share)
 /// stops early, so the unseated region tracks the perturbation size
-/// instead of one global constant.  Each round is two parallel E/V
-/// sweeps, the same access pattern as expand_halo.
+/// instead of one global constant.  Each round is a halo_hop plus two
+/// parallel E/V sweeps for the share.
 template <VertexId V>
 [[nodiscard]] AdaptiveHalo expand_halo_adaptive(const CommunityGraph<V>& g,
                                                 std::span<const V> touched,
@@ -102,17 +118,8 @@ template <VertexId V>
 
   while (out.hops < max_hops && cut_share() > cut_threshold) {
     std::vector<std::uint8_t> next(out.dirty);
-    const bool grew = parallel_sum<std::int64_t>(static_cast<std::int64_t>(ne), [&](std::int64_t e) {
-      const auto i = static_cast<std::size_t>(e);
-      const auto f = static_cast<std::size_t>(g.efirst[i]);
-      const auto s = static_cast<std::size_t>(g.esecond[i]);
-      if (out.dirty[f] != out.dirty[s]) {
-        // Benign same-value race: every writer stores 1.
-        next[out.dirty[f] ? s : f] = 1;
-        return std::int64_t{1};
-      }
-      return std::int64_t{0};
-    }) > 0;
+    const bool grew = halo_hop(g, std::span<const std::uint8_t>(out.dirty),
+                               std::span<std::uint8_t>(next)) > 0;
     out.dirty = std::move(next);
     ++out.hops;
     if (!grew) break;  // the dirty region is a whole component

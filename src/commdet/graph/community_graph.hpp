@@ -121,4 +121,27 @@ struct CommunityGraph {
   }
 };
 
+/// An edge range: the efirst / esecond / eweight arrays that a
+/// CommunityGraph and each shard block hold.  The score, edge-sweep and
+/// label-contraction kernels take one, so the sharded path calls them
+/// block by block.
+template <typename E>
+concept EdgeRange = requires(const E& e) {
+  e.num_edges(); e.efirst[0]; e.esecond[0]; e.eweight[0];
+};
+
+/// Runs `fn` on the graph's one edge range; the ShardedGraph overload
+/// runs it on each shard block in turn.
+template <VertexId V, typename Fn>
+void for_each_edge_range(const CommunityGraph<V>& g, Fn&& fn) {
+  fn(g);
+}
+
+/// Per-vertex state: nv, the volume and self-weight arrays, and the total
+/// weight (CommunityGraph, ShardedGraph).
+template <typename G>
+concept VertexState = requires(const G& g) {
+  g.nv; g.volume[0]; g.self_weight[0]; g.total_weight;
+};
+
 }  // namespace commdet

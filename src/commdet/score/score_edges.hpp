@@ -1,5 +1,7 @@
 // The scoring primitive: one independent calculation per community-graph
-// edge, stored in an |E|-long array of doubles (paper Sec. IV-B).
+// edge, stored in an |E|-long array of doubles (paper Sec. IV-B).  The
+// kernel runs over one edge range, so the sharded driver scores block by
+// block without materializing the array.
 #pragma once
 
 #include <cstdint>
@@ -21,14 +23,31 @@ struct ScoreSummary {
   Score max_score = 0.0;
 };
 
-/// Fills `scores[e]` for every edge of g.  `scores` is resized to match.
-template <VertexId V, EdgeScorer S>
-ScoreSummary score_edges(const CommunityGraph<V>& g, const S& scorer,
-                         std::vector<Score>& scores) {
-  COMMDET_FAULT_POINT(fault::kScore, Phase::kScore);
-  const EdgeId ne = g.num_edges();
-  scores.resize(static_cast<std::size_t>(ne));
+/// The scorer's inputs for edge i of an edge range, read from the
+/// per-vertex state `g`.  Every score in the library is computed from
+/// this, so a recomputed score is the same double as a stored one.
+template <EdgeRange E, VertexState G>
+[[nodiscard]] EdgeContext edge_context(const E& edges, const G& g, std::size_t i) noexcept {
+  const auto c = static_cast<std::size_t>(edges.efirst[i]);
+  const auto d = static_cast<std::size_t>(edges.esecond[i]);
+  return EdgeContext{
+      .edge_weight = edges.eweight[i],
+      .volume_c = g.volume[c],
+      .volume_d = g.volume[d],
+      .self_c = g.self_weight[c],
+      .self_d = g.self_weight[d],
+      .total_weight = g.total_weight,
+  };
+}
 
+/// Scores every edge of one edge range against the per-vertex state `g`
+/// and returns the summary.  Writes `scores[e]` when `scores` is
+/// non-empty (it must then hold one slot per edge); the sharded driver
+/// passes none and keeps only the summary, block by block.
+template <EdgeRange E, VertexState G, EdgeScorer S>
+ScoreSummary score_edges(const E& edges, const G& g, const S& scorer,
+                         std::span<Score> scores) {
+  const EdgeId ne = edges.num_edges();
   ExceptionCollector errors;
   EdgeId positive = 0;
   Score max_score = 0.0;
@@ -37,17 +56,8 @@ ScoreSummary score_edges(const CommunityGraph<V>& g, const S& scorer,
     if (errors.armed()) continue;
     errors.run([&] {
       const auto i = static_cast<std::size_t>(e);
-      const auto c = static_cast<std::size_t>(g.efirst[i]);
-      const auto d = static_cast<std::size_t>(g.esecond[i]);
-      const Score s = scorer.score(EdgeContext{
-          .edge_weight = g.eweight[i],
-          .volume_c = g.volume[c],
-          .volume_d = g.volume[d],
-          .self_c = g.self_weight[c],
-          .self_d = g.self_weight[d],
-          .total_weight = g.total_weight,
-      });
-      scores[i] = s;
+      const Score s = scorer.score(edge_context(edges, g, i));
+      if (!scores.empty()) scores[i] = s;
       if (s > 0.0) {
         ++positive;
         if (s > max_score) max_score = s;
@@ -63,6 +73,15 @@ ScoreSummary score_edges(const CommunityGraph<V>& g, const S& scorer,
   if (obs::Counter* c = obs::counter("score.positive_edges")) c->add(positive);
 
   return {positive, max_score};
+}
+
+/// Fills `scores[e]` for every edge of g.  `scores` is resized to match.
+template <VertexId V, EdgeScorer S>
+ScoreSummary score_edges(const CommunityGraph<V>& g, const S& scorer,
+                         std::vector<Score>& scores) {
+  COMMDET_FAULT_POINT(fault::kScore, Phase::kScore);
+  scores.resize(static_cast<std::size_t>(g.num_edges()));
+  return score_edges(g, g, scorer, std::span<Score>(scores));
 }
 
 }  // namespace commdet

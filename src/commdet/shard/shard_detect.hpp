@@ -45,34 +45,6 @@
 
 namespace commdet {
 
-namespace detail {
-
-/// partition_modularity / partition_coverage twins over the sharded
-/// graph's global per-vertex arrays — same parallel_sum expressions, so
-/// the doubles match the unsharded driver's bit for bit.
-template <VertexId V>
-[[nodiscard]] double sharded_partition_modularity(const ShardedGraph<V>& sg) {
-  if (sg.total_weight == 0) return 0.0;
-  const auto w = static_cast<double>(sg.total_weight);
-  return parallel_sum<double>(static_cast<std::int64_t>(sg.nv), [&](std::int64_t c) {
-    const auto i = static_cast<std::size_t>(c);
-    const double vol = static_cast<double>(sg.volume[i]) / (2.0 * w);
-    return static_cast<double>(sg.self_weight[i]) / w - vol * vol;
-  });
-}
-
-template <VertexId V>
-[[nodiscard]] double sharded_partition_coverage(const ShardedGraph<V>& sg) {
-  if (sg.total_weight == 0) return 1.0;
-  const Weight inside =
-      parallel_sum<Weight>(static_cast<std::int64_t>(sg.nv), [&](std::int64_t c) {
-        return sg.self_weight[static_cast<std::size_t>(c)];
-      });
-  return static_cast<double>(inside) / static_cast<double>(sg.total_weight);
-}
-
-}  // namespace detail
-
 /// Runs agglomerative community detection on a sharded graph (consumed).
 template <VertexId V, EdgeScorer S>
 [[nodiscard]] Clustering<V> sharded_agglomerate(ShardedGraph<V> sg, const S& scorer,
@@ -100,8 +72,8 @@ template <VertexId V, EdgeScorer S>
   std::iota(result.community.begin(), result.community.end(), V{0});
   detail::LazyCommunityMap<V> community_map(result.community, original_nv);
   result.num_communities = static_cast<std::int64_t>(sg.nv);
-  result.final_modularity = detail::sharded_partition_modularity(sg);
-  result.final_coverage = detail::sharded_partition_coverage(sg);
+  result.final_modularity = detail::partition_modularity(sg);
+  result.final_coverage = detail::partition_coverage(sg);
 
   BudgetTracker budget(opts.budget, 0.0);
   const bool budgeted = opts.budget.limited();
@@ -212,8 +184,8 @@ template <VertexId V, EdgeScorer S>
 
       stats.nv_after = static_cast<std::int64_t>(sg.nv);
       stats.ne_after = sg.num_edges();
-      stats.coverage = detail::sharded_partition_coverage(sg);
-      stats.modularity = detail::sharded_partition_modularity(sg);
+      stats.coverage = detail::partition_coverage(sg);
+      stats.modularity = detail::partition_modularity(sg);
 
       if (level_span.active() || rss_gauge != nullptr) {
         const std::int64_t rss = obs::rss_high_water_bytes();

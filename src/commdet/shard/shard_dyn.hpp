@@ -21,13 +21,14 @@
 // fallback the kept-prior guard formalizes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "commdet/contract/label_contractor.hpp"
+#include "commdet/contract/relabel.hpp"
 #include "commdet/core/detect.hpp"
 #include "commdet/dyn/seeded.hpp"
 #include "commdet/graph/delta.hpp"
@@ -46,37 +47,6 @@
 
 namespace commdet {
 
-/// expand_halo over a ShardedGraph: the same double-buffered parallel
-/// edge sweeps, one leased block at a time.  Cut edges propagate
-/// dirtiness across shard boundaries through the shared flag array (in
-/// a multi-node port: a ghost-flag exchange per hop).
-template <VertexId V>
-[[nodiscard]] std::vector<std::uint8_t> sharded_expand_halo(ShardedGraph<V>& sg,
-                                                            std::span<const V> touched,
-                                                            int hops) {
-  std::vector<std::uint8_t> dirty(static_cast<std::size_t>(sg.nv), 0);
-  for (const V v : touched) dirty[static_cast<std::size_t>(v)] = 1;
-  for (int h = 0; h < hops; ++h) {
-    std::vector<std::uint8_t> next(dirty);
-    for (int s = 0; s < sg.num_shards(); ++s) {
-      BlockLease<V> lease(sg, s);
-      const auto& b = lease.block();
-      parallel_for(b.num_edges(), [&](std::int64_t e) {
-        const auto i = static_cast<std::size_t>(e);
-        const auto f = static_cast<std::size_t>(b.efirst[i]);
-        const auto sec = static_cast<std::size_t>(b.esecond[i]);
-        if (dirty[f] != dirty[sec]) {
-          // Benign same-value race: every writer stores 1.
-          next[dirty[f] ? sec : f] = 1;
-        }
-      });
-      lease.close();
-    }
-    dirty = std::move(next);
-  }
-  return dirty;
-}
-
 /// Modularity + coverage of an arbitrary dense labeling over a sharded
 /// graph: one leased edge sweep accumulating per-label internal weight
 /// and volume, then the sequential label-order reduction
@@ -87,27 +57,12 @@ template <VertexId V>
                                                                  std::int64_t num_labels) {
   std::vector<Weight> internal(static_cast<std::size_t>(num_labels), 0);
   std::vector<Weight> volume(static_cast<std::size_t>(num_labels), 0);
-  parallel_for(static_cast<std::int64_t>(sg.nv), [&](std::int64_t v) {
-    const auto vi = static_cast<std::size_t>(v);
-    const auto c = static_cast<std::size_t>(labels[vi]);
-    std::atomic_ref<Weight>(internal[c])
-        .fetch_add(sg.self_weight[vi], std::memory_order_relaxed);
-    std::atomic_ref<Weight>(volume[c])
-        .fetch_add(sg.volume[vi], std::memory_order_relaxed);
+  fold_vertex_state(sg, labels, std::span<Weight>(internal), std::span<Weight>(volume));
+  // An empty bucket window: the label pass only folds intra-label edges.
+  for_each_edge_range(sg, [&](const ShardBlock<V>& b) {
+    (void)count_label_range(b, labels, V{0}, V{0}, std::span<EdgeId>{},
+                            std::span<Weight>(internal));
   });
-  for (int s = 0; s < sg.num_shards(); ++s) {
-    BlockLease<V> lease(sg, s);
-    const auto& b = lease.block();
-    parallel_for(b.num_edges(), [&](std::int64_t e) {
-      const auto i = static_cast<std::size_t>(e);
-      const V ca = labels[static_cast<std::size_t>(b.efirst[i])];
-      const V cb = labels[static_cast<std::size_t>(b.esecond[i])];
-      if (ca == cb)
-        std::atomic_ref<Weight>(internal[static_cast<std::size_t>(ca)])
-            .fetch_add(b.eweight[i], std::memory_order_relaxed);
-    });
-    lease.close();
-  }
   if (sg.total_weight == 0) return {0.0, 1.0};
   const auto w = static_cast<double>(sg.total_weight);
   double modularity = 0.0;
@@ -204,8 +159,8 @@ class ShardedCommunities {
 
       COMMDET_FAULT_POINT(fault::kDynRecompute, Phase::kDynamic);
       WallTimer recompute_timer;
-      const auto dirty = sharded_expand_halo(
-          base_, std::span<const V>(applied.touched), opts_.halo_hops);
+      const auto dirty =
+          expand_halo(base_, std::span<const V>(applied.touched), opts_.halo_hops);
       std::int64_t dirty_count = 0;
       for (const auto f : dirty) dirty_count += f;
       row.dirty = dirty_count;

@@ -1,131 +1,53 @@
 // Shard-local matching with boundary-edge reconciliation — exchange
 // point 2 of the protocol in DESIGN.md.
 //
-// This is EdgeSweepMatcher's locked best-offer algorithm run block by
-// block: every sweep leases each shard in turn and bids its positive
-// edges into BOTH endpoints' best-offer slots.  For a cut edge one of
-// those endpoints is a ghost, so the bid crosses the shard boundary —
-// here through the shared offer arrays, in a multi-node port as an
-// offer message to the ghost's owner.  The reconciliation that makes
-// this safe is the same one that makes the shared-memory matcher
-// deterministic: offers are compared under a TOTAL order (score, then a
-// hash tie-break — Offer::beats), so each slot's final content is the
-// maximum over all offers regardless of arrival order, and the
-// mutual-best handshake then agrees on every cut edge from both sides
-// without negotiation.  Consequently the matching is bit-identical for
-// ANY shard count, including K=1 versus the unsharded EdgeSweepMatcher.
+// This is the edge-sweep matcher run block by block: every sweep leases
+// each shard in turn and runs EdgeSweepOffers::bid over its edges,
+// bidding each positive edge into BOTH endpoints' best-offer slots.  For
+// a cut edge one of those endpoints is a ghost, so the bid crosses the
+// shard boundary — here through the shared offer slots, in a multi-node
+// port as an offer message to the ghost's owner.  The reconciliation
+// that makes this safe is the same one that makes the shared-memory
+// matcher deterministic: offers are compared under a TOTAL order
+// (score, then a hash tie-break — Offer::beats), so each slot's final
+// content is the maximum over all offers regardless of arrival order,
+// and the mutual-best reconcile then agrees on every cut edge from both
+// sides without negotiation.  Consequently the matching is bit-identical
+// for ANY shard count, including K=1 versus the unsharded
+// EdgeSweepMatcher.
 //
-// Scores are recomputed inline from the scorer (same expression as the
-// scoring pass, hence the same doubles) instead of reading an |E|-long
-// array — out-of-core runs can't afford one.  Spilled blocks are
-// re-read once per sweep; sweep counts are small in practice (the total
-// order guarantees progress every sweep).
+// Scores are recomputed inline from the scorer (edge_context, the same
+// expression as the scoring pass, hence the same doubles) instead of
+// reading an |E|-long array — out-of-core runs can't afford one.
+// Spilled blocks are re-read once per sweep; sweep counts are small in
+// practice (the total order guarantees progress every sweep).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "commdet/match/edge_sweep_matcher.hpp"
 #include "commdet/match/matching.hpp"
-#include "commdet/shard/shard_score.hpp"
+#include "commdet/score/score_edges.hpp"
 #include "commdet/shard/sharded_graph.hpp"
-#include "commdet/util/parallel.hpp"
-#include "commdet/util/spinlock.hpp"
 #include "commdet/util/types.hpp"
 
 namespace commdet {
-
-namespace detail {
-
-template <VertexId V>
-void shard_bid(SpinlockTable& locks, std::vector<V>& best_partner,
-               std::vector<Score>& best_score, V at, V partner, const Offer<V>& offer) {
-  SpinlockGuard guard(locks, static_cast<std::size_t>(at));
-  const V current = best_partner[static_cast<std::size_t>(at)];
-  if (current != kNoVertex<V>) {
-    const auto held = make_offer(best_score[static_cast<std::size_t>(at)], at, current);
-    if (!offer.beats(held)) return;
-  }
-  best_partner[static_cast<std::size_t>(at)] = partner;
-  best_score[static_cast<std::size_t>(at)] = offer.score;
-}
-
-}  // namespace detail
 
 /// Heavy maximal matching over a ShardedGraph; same result as
 /// EdgeSweepMatcher on the assembled graph, for any shard count.
 template <VertexId V, EdgeScorer S>
 [[nodiscard]] Matching<V> sharded_match(ShardedGraph<V>& sg, const S& scorer) {
-  const auto nv = static_cast<std::int64_t>(sg.nv);
-
-  Matching<V> result;
-  result.mate.assign(static_cast<std::size_t>(nv), kNoVertex<V>);
-  auto& mate = result.mate;
-
-  std::vector<V> best_partner(static_cast<std::size_t>(nv), kNoVertex<V>);
-  std::vector<Score> best_score(static_cast<std::size_t>(nv), 0.0);
-  SpinlockTable locks(static_cast<std::size_t>(nv));
-
-  std::int64_t pairs = 0;
-  for (;;) {
-    ++result.sweeps;
-
-    // Sweep every shard's block, bidding positive edges into both
-    // endpoints' slots (cross-shard bids for cut edges).
-    std::int64_t candidates = 0;
-    for (int s = 0; s < sg.num_shards(); ++s) {
-      BlockLease<V> lease(sg, s);
-      const auto& b = lease.block();
-      const EdgeId ne = b.num_edges();
-      std::int64_t cand = 0;
-      ExceptionCollector errors;
-#pragma omp parallel for schedule(static) reduction(+ : cand)
-      for (EdgeId e = 0; e < ne; ++e) {
-        if (errors.armed()) continue;
-        errors.run([&] {
-          const auto i = static_cast<std::size_t>(e);
-          const Score sc = scorer.score(shard_edge_context(sg, b, i));
-          if (sc <= 0.0) return;
-          const V a = b.efirst[i];
-          const V c = b.esecond[i];
-          if (mate[static_cast<std::size_t>(a)] != kNoVertex<V> ||
-              mate[static_cast<std::size_t>(c)] != kNoVertex<V>)
-            return;
-          ++cand;
-          const auto offer = make_offer(sc, a, c);
-          detail::shard_bid(locks, best_partner, best_score, a, c, offer);
-          detail::shard_bid(locks, best_partner, best_score, c, a, offer);
+  return edge_sweep_match<V>(
+      static_cast<std::int64_t>(sg.nv),
+      [&](EdgeSweepOffers<V>& offers, const std::vector<V>& mate) {
+        std::int64_t candidates = 0;
+        for_each_edge_range(sg, [&](const ShardBlock<V>& b) {
+          candidates += offers.bid(
+              b, [&](std::size_t i) { return scorer.score(edge_context(b, sg, i)); }, mate);
         });
-      }
-      errors.rethrow_if_armed();
-      candidates += cand;
-      lease.close();
-    }
-    if (candidates == 0) break;
-
-    // Reconcile: mutual bests become pairs.  For a cut edge both owners
-    // computed the same winning offer (total order), so both sides of
-    // the boundary agree without a second exchange round.
-    std::int64_t matched_this_sweep = 0;
-#pragma omp parallel for schedule(static) reduction(+ : matched_this_sweep)
-    for (std::int64_t u = 0; u < nv; ++u) {
-      const V p = best_partner[static_cast<std::size_t>(u)];
-      if (p == kNoVertex<V> || p < static_cast<V>(u)) continue;  // handled from the low side
-      if (best_partner[static_cast<std::size_t>(p)] == static_cast<V>(u)) {
-        mate[static_cast<std::size_t>(u)] = p;
-        mate[static_cast<std::size_t>(p)] = static_cast<V>(u);
-        ++matched_this_sweep;
-      }
-    }
-    pairs += matched_this_sweep;
-
-    parallel_for(nv, [&](std::int64_t v) {
-      best_partner[static_cast<std::size_t>(v)] = kNoVertex<V>;
-      best_score[static_cast<std::size_t>(v)] = 0.0;
-    });
-  }
-
-  result.num_pairs = pairs;
-  return result;
+        return candidates;
+      });
 }
 
 }  // namespace commdet

@@ -1,84 +1,40 @@
 // Shard-local scoring: the paper's per-edge scoring pass run block by
 // block over a ShardedGraph.
 //
-// Each shard scores its own edge block; the only remote data an edge
-// needs is its second endpoint's (volume, self weight) — exactly the
+// Each shard scores its own edge block with the unsharded kernel
+// (score_edges over one edge range); the only remote data an edge needs
+// is its second endpoint's (volume, self weight) — exactly the
 // ghost-vertex state exchange point 1 of the protocol (DESIGN.md)
 // delivers in a multi-node port.  Here the per-vertex arrays are shared
-// memory, so the "exchange" is a read.  The arithmetic is the exact
-// expression score_edges() uses, so a recomputation of any edge's score
-// is bit-identical to the unsharded pass.
+// memory, so the "exchange" is a read.
 //
 // Scores are NOT materialized: the driver only needs the summary here,
 // and the matcher recomputes scores inline per sweep — the out-of-core
 // point is precisely not to hold |E|-long arrays.
 #pragma once
 
-#include <cstdint>
+#include <algorithm>
+#include <span>
 
-#include "commdet/obs/metrics.hpp"
 #include "commdet/robust/fault_injection.hpp"
 #include "commdet/score/score_edges.hpp"
 #include "commdet/shard/sharded_graph.hpp"
-#include "commdet/util/parallel.hpp"
 #include "commdet/util/types.hpp"
 
 namespace commdet {
-
-/// One EdgeContext, built from a block edge plus the global per-vertex
-/// arrays — shared with the sharded matcher so both passes compute the
-/// same double for the same edge.
-template <VertexId V>
-[[nodiscard]] inline EdgeContext shard_edge_context(const ShardedGraph<V>& sg,
-                                                    const ShardBlock<V>& b,
-                                                    std::size_t i) noexcept {
-  const auto c = static_cast<std::size_t>(b.efirst[i]);
-  const auto d = static_cast<std::size_t>(b.esecond[i]);
-  return EdgeContext{
-      .edge_weight = b.eweight[i],
-      .volume_c = sg.volume[c],
-      .volume_d = sg.volume[d],
-      .self_c = sg.self_weight[c],
-      .self_d = sg.self_weight[d],
-      .total_weight = sg.total_weight,
-  };
-}
 
 /// Scores every edge of every shard (blocks leased one at a time) and
 /// returns the driver's termination summary.
 template <VertexId V, EdgeScorer S>
 [[nodiscard]] ScoreSummary sharded_score_summary(ShardedGraph<V>& sg, const S& scorer) {
   COMMDET_FAULT_POINT(fault::kScore, Phase::kScore);
-  EdgeId positive = 0;
-  Score max_score = 0.0;
-  EdgeId scored = 0;
-  for (int s = 0; s < sg.num_shards(); ++s) {
-    BlockLease<V> lease(sg, s);
-    const auto& b = lease.block();
-    const EdgeId ne = b.num_edges();
-    scored += ne;
-    EdgeId pos = 0;
-    Score mx = 0.0;
-    ExceptionCollector errors;
-#pragma omp parallel for schedule(static) reduction(+ : pos) reduction(max : mx)
-    for (EdgeId e = 0; e < ne; ++e) {
-      if (errors.armed()) continue;
-      errors.run([&] {
-        const Score sc = scorer.score(shard_edge_context(sg, b, static_cast<std::size_t>(e)));
-        if (sc > 0.0) {
-          ++pos;
-          if (sc > mx) mx = sc;
-        }
-      });
-    }
-    errors.rethrow_if_armed();
-    positive += pos;
-    if (mx > max_score) max_score = mx;
-    lease.close();
-  }
-  if (obs::Counter* c = obs::counter("score.edges_scored")) c->add(scored);
-  if (obs::Counter* c = obs::counter("score.positive_edges")) c->add(positive);
-  return {positive, max_score};
+  ScoreSummary summary;
+  for_each_edge_range(sg, [&](const ShardBlock<V>& b) {
+    const auto block = score_edges(b, sg, scorer, std::span<Score>{});
+    summary.positive_edges += block.positive_edges;
+    summary.max_score = std::max(summary.max_score, block.max_score);
+  });
+  return summary;
 }
 
 }  // namespace commdet

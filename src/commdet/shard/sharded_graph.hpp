@@ -42,6 +42,7 @@
 #include <utility>
 #include <vector>
 
+#include "commdet/contract/label_contractor.hpp"
 #include "commdet/graph/builder.hpp"
 #include "commdet/graph/community_graph.hpp"
 #include "commdet/graph/delta.hpp"
@@ -281,9 +282,7 @@ struct ShardedGraph {
     g.eweight.reserve(static_cast<std::size_t>(total));
     g.bucket_begin.assign(static_cast<std::size_t>(nv), 0);
     g.bucket_end.assign(static_cast<std::size_t>(nv), 0);
-    for (int s = 0; s < num_shards(); ++s) {
-      ensure_resident(s);
-      const auto& b = shards[static_cast<std::size_t>(s)];
+    for_each_edge_range(*this, [&](const ShardBlock<V>& b) {
       const auto base = static_cast<EdgeId>(g.efirst.size());
       for (V v = b.lo; v < b.hi; ++v) {
         const auto [bb, be] = b.bucket(v);
@@ -293,8 +292,7 @@ struct ShardedGraph {
       g.efirst.insert(g.efirst.end(), b.efirst.begin(), b.efirst.end());
       g.esecond.insert(g.esecond.end(), b.esecond.begin(), b.esecond.end());
       g.eweight.insert(g.eweight.end(), b.eweight.begin(), b.eweight.end());
-      release(s);
-    }
+    });
     return g;
   }
 
@@ -360,6 +358,17 @@ class BlockLease {
   int s_;
 };
 
+/// Runs `fn(block)` on every shard block in shard order, each leased for
+/// the call only, so a spilled graph holds one block in memory at a time.
+template <VertexId V, typename Fn>
+void for_each_edge_range(ShardedGraph<V>& sg, Fn&& fn) {
+  for (int s = 0; s < sg.num_shards(); ++s) {
+    BlockLease<V> lease(sg, s);
+    fn(std::as_const(lease.block()));
+    lease.close();
+  }
+}
+
 /// Partitions an in-memory canonical CommunityGraph (builder layout:
 /// contiguous buckets in vertex order, each sorted by second endpoint)
 /// into K edge-balanced shards.  With spill enabled, each block is
@@ -395,28 +404,16 @@ template <VertexId V>
     auto& b = out.shards[static_cast<std::size_t>(s)];
     b.lo = cuts[static_cast<std::size_t>(s)];
     b.hi = cuts[static_cast<std::size_t>(s) + 1];
-    const auto owned = static_cast<std::int64_t>(b.hi - b.lo);
-    const EdgeId base = cum[static_cast<std::size_t>(b.lo)];
-    const EdgeId count = cum[static_cast<std::size_t>(b.hi)] - base;
-    b.bucket_begin.resize(static_cast<std::size_t>(owned));
-    b.bucket_end.resize(static_cast<std::size_t>(owned));
-    b.efirst.resize(static_cast<std::size_t>(count));
-    b.esecond.resize(static_cast<std::size_t>(count));
-    b.eweight.resize(static_cast<std::size_t>(count));
-    parallel_for(owned, [&](std::int64_t i) {
-      const auto v = static_cast<std::size_t>(b.lo + static_cast<V>(i));
-      const EdgeId dst = cum[v] - base;
-      const EdgeId len = g.bucket_end[v] - g.bucket_begin[v];
-      b.bucket_begin[static_cast<std::size_t>(i)] = dst;
-      b.bucket_end[static_cast<std::size_t>(i)] = dst + len;
-      const EdgeId src = g.bucket_begin[v];
-      for (EdgeId e = 0; e < len; ++e) {
-        b.efirst[static_cast<std::size_t>(dst + e)] = g.efirst[static_cast<std::size_t>(src + e)];
-        b.esecond[static_cast<std::size_t>(dst + e)] = g.esecond[static_cast<std::size_t>(src + e)];
-        b.eweight[static_cast<std::size_t>(dst + e)] = g.eweight[static_cast<std::size_t>(src + e)];
-      }
+    const auto owned = static_cast<std::size_t>(b.hi - b.lo);
+    std::vector<EdgeId> len(owned);
+    parallel_for(static_cast<std::int64_t>(owned), [&](std::int64_t i) {
+      const auto v = static_cast<std::size_t>(b.lo) + static_cast<std::size_t>(i);
+      len[static_cast<std::size_t>(i)] = g.bucket_end[v] - g.bucket_begin[v];
     });
-    b.ne = count;
+    const auto begin = std::span<const EdgeId>(g.bucket_begin);
+    b.ne = copy_out_buckets(begin.subspan(static_cast<std::size_t>(b.lo), owned), 0,
+                            std::span<const EdgeId>(len), std::span<const V>(g.esecond),
+                            std::span<const Weight>(g.eweight), b.lo, b);
     b.refresh_ghosts();
     out.release(s);
   }

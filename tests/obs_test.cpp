@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <span>
 #include <string>
 #include <variant>
@@ -30,6 +31,7 @@
 #include "commdet/obs/trace.hpp"
 #include "commdet/platform/platform_info.hpp"
 #include "commdet/score/scorers.hpp"
+#include "commdet/shard/shard_detect.hpp"
 
 namespace commdet {
 namespace {
@@ -446,6 +448,38 @@ TEST(ObsReport, KernelSpansAndCountersExplainSortAndMatchWork) {
   EXPECT_EQ(sort_spans, run.clustering.levels.size());
   EXPECT_GT(dense_buckets, 0) << "caveman cliques pack each bucket into one word";
   EXPECT_GE(run.metrics.snapshot().at("match.edges_scanned"), run.graph.num_edges());
+
+  // The sharded driver runs the same contraction kernel block by block,
+  // so its trace carries the same sub-pass spans: one count per level,
+  // and (in core, one destination group) one scatter, sort and copy.
+  // Each matched pair's edge folds into a self weight exactly once.
+  obs::Trace trace;
+  obs::MetricsRegistry metrics;
+  Clustering<V32> sharded;
+  {
+    obs::TraceSession ts(trace);
+    obs::MetricsSession ms(metrics);
+    sharded = sharded_agglomerate(partition_graph(run.graph, 3), ModularityScorer{});
+  }
+  ASSERT_FALSE(sharded.levels.empty());
+  std::map<std::string, std::size_t> sub_passes;
+  const auto spans = trace.spans();
+  for (const auto& s : spans) {
+    if (!s.name.starts_with("contract.")) continue;
+    ++sub_passes[s.name];
+    EXPECT_EQ(spans[s.parent - 1].name, "contract") << s.name;
+    if (s.name == "contract.sort") {
+      EXPECT_NE(std::find_if(s.attrs.begin(), s.attrs.end(),
+                             [](const obs::Attr& a) { return a.key == "dense_buckets"; }),
+                s.attrs.end());
+    }
+  }
+  for (const char* name :
+       {"contract.count", "contract.scatter", "contract.sort", "contract.copy"})
+    EXPECT_EQ(sub_passes[name], sharded.levels.size()) << name;
+  std::int64_t pairs = 0;
+  for (const auto& level : sharded.levels) pairs += level.pairs_matched;
+  EXPECT_EQ(metrics.snapshot().at("contract.self_edges_folded"), pairs);
 }
 
 TEST(ObsReport, DetectionReportValidatesAndCarriesSchema) {

@@ -1,11 +1,13 @@
 // Tests for the sharded graph subsystem (src/commdet/shard/): partition
 // invariants, boundary-edge accounting, bit-parity of the sharded
-// kernels with the unsharded oracles, spill round-trips, fault
+// kernels with the unsharded oracles (several scorers, two levels, every
+// layout), spill round-trips, fault
 // containment, dynamic routing, and plan/facade wiring.
 //
 // Compiled with COMMDET_FAULT_INJECTION=1 so the spill-read fault site
 // (io.snapshot.read) is live for the containment tests.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "commdet/contract/label_contractor.hpp"
 #include "commdet/core/detect.hpp"
 #include "commdet/core/metrics.hpp"
 #include "commdet/dyn/dynamic_communities.hpp"
@@ -25,6 +28,7 @@
 #include "commdet/graph/builder.hpp"
 #include "commdet/obs/metrics.hpp"
 #include "commdet/robust/fault_injection.hpp"
+#include "commdet/score/scorers.hpp"
 #include "commdet/shard/shard_contract.hpp"
 #include "commdet/shard/shard_dyn.hpp"
 #include "commdet/shard/shard_match.hpp"
@@ -214,30 +218,66 @@ TEST(ShardBuilder, SpillRoundTrip) {
 // ---------------------------------------------------------------------------
 // Kernel bit-parity with the unsharded oracles
 
-TEST(ShardScore, SummaryMatchesUnsharded) {
-  const auto g = rmat_graph(10);
+/// The score and match parity inputs: a scale-10 R-MAT, and the same
+/// graph contracted once (level 2: self weights, merged volumes, summed
+/// edge weights).
+std::vector<CommunityGraph<V32>> parity_graphs() {
+  auto g = rmat_graph(10);
   std::vector<Score> scores;
-  const auto oracle = score_edges(g, ModularityScorer{}, scores);
-  for (int k : {1, 4}) {
-    auto sg = partition_graph(g, k);
-    const auto summary = sharded_score_summary(sg, ModularityScorer{});
-    EXPECT_EQ(summary.positive_edges, oracle.positive_edges);
-    EXPECT_DOUBLE_EQ(summary.max_score, oracle.max_score);
+  (void)score_edges(g, ModularityScorer{}, scores);
+  const auto m = EdgeSweepMatcher<V32>{}.match(g, scores);
+  auto level2 = BucketSortContractor<V32>{}.contract(g, m).graph;
+  std::vector<CommunityGraph<V32>> out;
+  out.push_back(std::move(g));
+  out.push_back(std::move(level2));
+  return out;
+}
+
+/// Calls `check(scorer, name)` for every scorer the parity tests pin:
+/// the shared kernels are generic over the scorer.
+template <typename Check>
+void for_each_parity_scorer(Check&& check) {
+  check(ModularityScorer{}, "modularity");
+  check(ConductanceScorer{}, "conductance");
+  check(ResolutionModularityScorer{1.5}, "resolution-1.5");
+}
+
+TEST(ShardScore, SummaryMatchesUnsharded) {
+  const auto graphs = parity_graphs();
+  for (std::size_t level = 0; level < graphs.size(); ++level) {
+    const auto& g = graphs[level];
+    for_each_parity_scorer([&](const auto& scorer, const char* name) {
+      SCOPED_TRACE(testing::Message() << name << ", level " << level + 1);
+      std::vector<Score> scores;
+      const auto oracle = score_edges(g, scorer, scores);
+      for (int k : {1, 4}) {
+        auto sg = partition_graph(g, k);
+        const auto summary = sharded_score_summary(sg, scorer);
+        EXPECT_EQ(summary.positive_edges, oracle.positive_edges);
+        EXPECT_DOUBLE_EQ(summary.max_score, oracle.max_score);
+      }
+    });
   }
 }
 
 TEST(ShardMatch, ParityWithEdgeSweep) {
-  const auto g = rmat_graph(10);
-  std::vector<Score> scores;
-  (void)score_edges(g, ModularityScorer{}, scores);
-  EdgeSweepMatcher<V32> matcher;
-  const auto oracle =
-      matcher.match(g, scores);
-  for (int k : {1, 2, 8}) {
-    auto sg = partition_graph(g, k);
-    const auto m = sharded_match(sg, ModularityScorer{});
-    EXPECT_EQ(m.mate, oracle.mate) << "shard count " << k;
-    EXPECT_EQ(m.num_pairs, oracle.num_pairs);
+  const auto graphs = parity_graphs();
+  for (std::size_t level = 0; level < graphs.size(); ++level) {
+    const auto& g = graphs[level];
+    for_each_parity_scorer([&](const auto& scorer, const char* name) {
+      SCOPED_TRACE(testing::Message() << name << ", level " << level + 1);
+      std::vector<Score> scores;
+      (void)score_edges(g, scorer, scores);
+      EdgeSweepMatcher<V32> matcher;
+      const auto oracle = matcher.match(g, scores);
+      EXPECT_GT(oracle.num_pairs, 0);
+      for (int k : {1, 2, 8}) {
+        auto sg = partition_graph(g, k);
+        const auto m = sharded_match(sg, scorer);
+        EXPECT_EQ(m.mate, oracle.mate) << "shard count " << k;
+        EXPECT_EQ(m.num_pairs, oracle.num_pairs);
+      }
+    });
   }
 }
 
@@ -259,6 +299,62 @@ TEST(ShardContract, BitParityWithBucketSort) {
     EXPECT_EQ(contracted.new_label, oracle.new_label);
     expect_same_graph(contracted.graph.assemble(), oracle.graph);
   }
+}
+
+TEST(ShardContract, AssignmentParityWithContractByLabels) {
+  // The warm-start contraction at kernel level: for every labeling and
+  // layout, the sharded graph assembles to contract_by_labels' output,
+  // array for array, at 1 thread and at 4.
+  const auto g = rmat_graph(12);
+  const auto nv = static_cast<std::int64_t>(g.nv);
+
+  struct Labeling {
+    const char* name;
+    std::vector<V32> label;
+    std::int64_t num_labels;
+  };
+  std::vector<Labeling> labelings;
+  {
+    Labeling identity{"identity", std::vector<V32>(static_cast<std::size_t>(nv)), nv};
+    std::iota(identity.label.begin(), identity.label.end(), V32{0});
+    labelings.push_back(std::move(identity));
+
+    const std::int64_t classes = nv / 50;
+    Labeling random{"random", std::vector<V32>(static_cast<std::size_t>(nv)), classes};
+    for (std::int64_t v = 0; v < nv; ++v)
+      random.label[static_cast<std::size_t>(v)] =
+          static_cast<V32>(mix64(static_cast<std::uint64_t>(v)) %
+                           static_cast<std::uint64_t>(classes));
+    labelings.push_back(std::move(random));
+
+    // The first half of the vertices in class 0, the rest singletons.
+    const std::int64_t half = nv / 2;
+    Labeling giant{"giant", std::vector<V32>(static_cast<std::size_t>(nv)), nv - half + 1};
+    for (std::int64_t v = 0; v < nv; ++v)
+      giant.label[static_cast<std::size_t>(v)] = static_cast<V32>(v < half ? 0 : v - half + 1);
+    labelings.push_back(std::move(giant));
+  }
+
+  const int saved_threads = omp_get_max_threads();
+  for (const int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    for (const auto& l : labelings) {
+      const auto labels = std::span<const V32>(l.label);
+      const auto oracle = contract_by_labels(g, labels, l.num_labels);
+      for (const bool spill : {false, true}) {
+        const std::string dir = fresh_dir("assignment_parity");
+        for (int k : {1, 3, 8}) {
+          SCOPED_TRACE(testing::Message() << l.name << ", " << threads << " threads, K=" << k
+                                          << (spill ? ", spill" : ""));
+          auto sg = partition_graph(g, k, ShardSpill{spill, dir});
+          auto contracted = contract_sharded_assignment(sg, labels, l.num_labels);
+          EXPECT_LE(contracted.num_shards(), k);
+          expect_same_graph(contracted.assemble(), oracle);
+        }
+      }
+    }
+  }
+  omp_set_num_threads(saved_threads);
 }
 
 // ---------------------------------------------------------------------------
