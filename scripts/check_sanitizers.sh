@@ -2,7 +2,8 @@
 # Builds and runs the test suite under the sanitizers:
 #
 #   1. ASan + UBSan over the full tier-1 suite, then the contraction,
-#      matching and shard tests again at OMP_NUM_THREADS=4,
+#      matching, shard, graph-build and largest-component tests again
+#      at OMP_NUM_THREADS=4,
 #   2. TSan over the concurrency-heavy matcher/contractor/driver tests
 #      plus the streaming-service suite (a full TSan run is minutes of
 #      overhead; the data-race surface lives in match/, contract/, the
@@ -25,7 +26,7 @@ run_asan() {
   echo "== ASan + UBSan: kernel tests at 4 threads =="
   OMP_NUM_THREADS=4 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure -j "${jobs}" \
-      -R 'Contract|SortAndAccumulate|Match|UnmatchedList|Shard'
+      -R 'Contract|SortAndAccumulate|Match|UnmatchedList|Shard|Builder|Cc'
 }
 
 run_tsan() {

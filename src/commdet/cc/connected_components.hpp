@@ -5,13 +5,24 @@
 // larger root under the smaller via CAS, finds use path halving.  The
 // result is schedule-independent (component labels are the minimum vertex
 // id in each component).
+//
+// largest_component sizes the components from chunk-private counts and
+// copies the giant component's edges with an order-preserving
+// compaction, so neither step takes a shared atomic per vertex or per
+// edge (the giant component's root would otherwise serialize them), and
+// its output, vertex ids and edge order both, is the same at any thread
+// count: the input's edges filtered in order.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "commdet/graph/edge_list.hpp"
+#include "commdet/obs/trace.hpp"
+#include "commdet/util/compact.hpp"
 #include "commdet/util/parallel.hpp"
 #include "commdet/util/prefix_sum.hpp"
 #include "commdet/util/types.hpp"
@@ -79,49 +90,53 @@ template <VertexId V>
   });
 }
 
-/// Extracts the largest connected component and densely relabels its
-/// vertices (order-preserving).  Self-loops inside the component survive.
+/// Extracts the largest connected component (the smallest root on a
+/// tie) and densely relabels its vertices (order-preserving).  The edges
+/// keep their input order.  Self-loops inside the component survive.
 template <VertexId V>
 [[nodiscard]] EdgeList<V> largest_component(const EdgeList<V>& g) {
   const auto nv = static_cast<std::int64_t>(g.num_vertices);
   if (nv == 0) return g;
+  obs::ScopedSpan uf_span("cc.union_find");
+  uf_span.attr("edges", g.num_edges());
   const auto labels = connected_components(g);
+  uf_span.close();
 
-  std::vector<std::int64_t> size(static_cast<std::size_t>(nv), 0);
-  parallel_for(nv, [&](std::int64_t v) {
-    std::atomic_ref<std::int64_t>(size[static_cast<std::size_t>(labels[static_cast<std::size_t>(v)])])
-        .fetch_add(1, std::memory_order_relaxed);
+  obs::ScopedSpan extract_span("cc.extract");
+  // Component sizes: each chunk of vertices counts into its own nv-long
+  // array (a chunk spans at least 4096 vertices), then chunk 0's array
+  // gathers the sums.
+  const std::int64_t nchunks = std::clamp<std::int64_t>(nv / 4096, 1, parallel_threads());
+  std::vector<std::vector<V>> chunk_size(static_cast<std::size_t>(nchunks));
+  parallel_for(nchunks, [&](std::int64_t c) {
+    auto& size = chunk_size[static_cast<std::size_t>(c)];
+    size.assign(static_cast<std::size_t>(nv), 0);
+    for (std::int64_t v = nv * c / nchunks; v < nv * (c + 1) / nchunks; ++v)
+      ++size[static_cast<std::size_t>(labels[static_cast<std::size_t>(v)])];
   });
-  std::int64_t best_root = 0;
-  for (std::int64_t v = 1; v < nv; ++v)
-    if (size[static_cast<std::size_t>(v)] > size[static_cast<std::size_t>(best_root)]) best_root = v;
+  auto& size = chunk_size[0];
+  parallel_for(nv, [&](std::int64_t v) {
+    for (std::size_t c = 1; c < chunk_size.size(); ++c)
+      size[static_cast<std::size_t>(v)] += chunk_size[c][static_cast<std::size_t>(v)];
+  });
+  const auto root = static_cast<V>(std::max_element(size.begin(), size.end()) - size.begin());
+  chunk_size = {};
 
   // Dense new ids for members, in vertex order.
-  std::vector<std::int64_t> member(static_cast<std::size_t>(nv), 0);
+  std::vector<V> new_id(static_cast<std::size_t>(nv));
   parallel_for(nv, [&](std::int64_t v) {
-    member[static_cast<std::size_t>(v)] =
-        labels[static_cast<std::size_t>(v)] == static_cast<V>(best_root) ? 1 : 0;
+    new_id[static_cast<std::size_t>(v)] = labels[static_cast<std::size_t>(v)] == root ? 1 : 0;
   });
-  std::vector<std::int64_t> new_id(member);
-  const std::int64_t kept = exclusive_prefix_sum(std::span<std::int64_t>(new_id));
-
   EdgeList<V> out;
-  out.num_vertices = static_cast<V>(kept);
-  // Count surviving edges, then fill (order-preserving compaction).
-  const std::int64_t surviving = parallel_count(g.num_edges(), [&](std::int64_t e) {
-    return labels[static_cast<std::size_t>(g.edges[static_cast<std::size_t>(e)].u)] ==
-           static_cast<V>(best_root);
-  });
-  out.edges.resize(static_cast<std::size_t>(surviving));
-  std::atomic<std::int64_t> cursor{0};
-  parallel_for(g.num_edges(), [&](std::int64_t e) {
-    const auto& edge = g.edges[static_cast<std::size_t>(e)];
-    if (labels[static_cast<std::size_t>(edge.u)] != static_cast<V>(best_root)) return;
-    const std::int64_t slot = cursor.fetch_add(1, std::memory_order_relaxed);
-    out.edges[static_cast<std::size_t>(slot)] = {
-        static_cast<V>(new_id[static_cast<std::size_t>(edge.u)]),
-        static_cast<V>(new_id[static_cast<std::size_t>(edge.v)]), edge.w};
-  });
+  out.num_vertices = exclusive_prefix_sum(std::span<V>(new_id));
+  out.edges = parallel_compact(
+      std::span<const RawEdge<V>>(g.edges),
+      [&](const RawEdge<V>& e) { return labels[static_cast<std::size_t>(e.u)] == root; },
+      [&](const RawEdge<V>& e) {
+        return RawEdge<V>{new_id[static_cast<std::size_t>(e.u)],
+                          new_id[static_cast<std::size_t>(e.v)], e.w};
+      });
+  extract_span.attr("edges", out.num_edges());
   return out;
 }
 

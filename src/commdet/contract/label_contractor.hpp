@@ -21,13 +21,17 @@
 // bucket window, so the sharded path calls the same passes block by
 // block: count_label_range carries each bucket's running cursor from
 // one block to the next, and copy_out_buckets writes a window into one
-// destination block.
+// destination block.  Building the input graph is the same job under
+// the identity labeling (IdentityLabels): graph/builder.hpp and the
+// sharded builder run these passes over raw edges, traced as
+// graph.build.* rather than contract.*.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -195,16 +199,27 @@ struct LabelChunks {
   EdgeId ne = 0;
   std::int64_t nchunks = 1;
   std::vector<std::vector<EdgeId>> cursor;
+  std::int64_t folded = 0;  // intra-label edges folded into `self`
 
   [[nodiscard]] EdgeId chunk_begin(std::int64_t c) const noexcept {
     return static_cast<EdgeId>((static_cast<std::int64_t>(ne) * c) / nchunks);
   }
 };
 
-/// Pass 1 over one edge range: relabels both endpoints of every edge,
-/// folds intra-label edges into `self` (one slot per label, or empty for
-/// no fold), and counts each surviving edge toward its hashed-first
-/// bucket if that falls in the window [lo, hi).
+/// The identity labeling, labels[v] == v.  Under it the passes build a
+/// graph from an edge range that still holds multi-edges and self-loops.
+template <VertexId V>
+struct IdentityLabels {
+  [[nodiscard]] constexpr V operator[](std::size_t v) const noexcept {
+    return static_cast<V>(v);
+  }
+};
+
+/// Pass 1 over one edge range: relabels both endpoints of every edge
+/// (`labels` is a std::span<const V> or IdentityLabels<V>), folds
+/// intra-label edges into `self` (one slot per label, or empty for no
+/// fold) and counts them in `folded`, and counts each surviving edge
+/// toward its hashed-first bucket if that falls in the window [lo, hi).
 /// `running[b - lo]`, the entries earlier ranges placed in bucket b, is
 /// advanced past this range's.  Counts are chunk-private and each
 /// chunk's cursor starts where the previous chunk's ends, so nothing is
@@ -212,9 +227,9 @@ struct LabelChunks {
 /// placements pile onto one slot (a big class's self weight, a hub's
 /// bucket).  At most ne / slots chunks, so the histograms hold at most
 /// one entry per edge of the range, or one per window bucket and label.
-template <EdgeRange E, VertexId V>
-[[nodiscard]] LabelChunks<V> count_label_range(const E& edges, std::span<const V> labels, V lo,
-                                               V hi, std::span<EdgeId> running,
+template <EdgeRange E, typename L, VertexId V>
+[[nodiscard]] LabelChunks<V> count_label_range(const E& edges, const L& labels, V lo, V hi,
+                                               std::span<EdgeId> running,
                                                std::span<Weight> self) {
   const auto window = static_cast<std::int64_t>(hi - lo);
   const auto nself = static_cast<std::int64_t>(self.size());
@@ -227,9 +242,9 @@ template <EdgeRange E, VertexId V>
       std::max(1, omp_get_max_threads()));
   chunks.cursor.resize(static_cast<std::size_t>(chunks.nchunks));
   const bool fold = nself > 0;
-  obs::Counter* c_folded = fold ? obs::counter("contract.self_edges_folded") : nullptr;
   std::vector<std::vector<Weight>> chunk_self(fold ? static_cast<std::size_t>(chunks.nchunks)
                                                    : 0);
+  std::vector<std::int64_t> chunk_folded(static_cast<std::size_t>(chunks.nchunks), 0);
   parallel_for_dynamic(chunks.nchunks, [&](std::int64_t c) {
     const V wlo = lo;  // locals: the stores below cannot alias them
     const V whi = hi;
@@ -256,8 +271,9 @@ template <EdgeRange E, VertexId V>
       const auto [f, s] = hashed_edge_order(a, b);
       if (f >= wlo && f < whi) ++cnt[static_cast<std::size_t>(f - wlo)];
     }
-    if (c_folded != nullptr) c_folded->add(folded);
+    chunk_folded[static_cast<std::size_t>(c)] = folded;
   }, /*chunk=*/1);
+  for (const std::int64_t f : chunk_folded) chunks.folded += f;
 
   // Per-bucket reduction: chunk cursors from the running cursor, and the
   // folded self weights, in one parallel sweep.
@@ -277,8 +293,8 @@ template <EdgeRange E, VertexId V>
 /// Pass 2: places each surviving edge (f, s; w) of the window as (s; w)
 /// at off[f - lo] - base plus its chunk's next cursor.  `edges` and
 /// `labels` are those `chunks` was counted from.
-template <EdgeRange E, VertexId V>
-void scatter_label_range(const E& edges, std::span<const V> labels, LabelChunks<V>& chunks,
+template <EdgeRange E, typename L, VertexId V>
+void scatter_label_range(const E& edges, const L& labels, LabelChunks<V>& chunks,
                          std::span<const EdgeId> off, EdgeId base, std::span<V> second,
                          std::span<Weight> weight) {
   parallel_for_dynamic(chunks.nchunks, [&](std::int64_t c) {
@@ -342,6 +358,66 @@ EdgeId copy_out_buckets(std::span<const EdgeId> off, EdgeId base, std::span<cons
   return final_ne;
 }
 
+/// Span names of the passes: a contraction traces them as contract.*,
+/// building a graph from raw edges as graph.build.*.
+struct BucketPassSpans {
+  std::string_view count, scatter, sort, copy;
+};
+inline constexpr BucketPassSpans kContractSpans{"contract.count", "contract.scatter",
+                                                "contract.sort", "contract.copy"};
+
+namespace detail {
+
+/// The four passes over one edge range: relabel by `labels`, fold
+/// intra-label edges into `self` (empty: no fold), and lay the surviving
+/// edges whose hashed-first vertex lies in [lo, hi) out as `out`'s
+/// sorted, accumulated buckets (a CommunityGraph, or a shard block).
+/// The scatter scratch is `scratch`'s.  Returns the edges folded.
+template <EdgeRange E, typename L, VertexId V, typename Out>
+std::int64_t bucket_sort_range(const E& edges, const L& labels, V lo, V hi,
+                               std::span<Weight> self, Out& out, ContractionBuffers<V>& scratch,
+                               const BucketPassSpans& spans) {
+  const auto n = static_cast<std::size_t>(hi - lo);
+  obs::ScopedSpan count_span(spans.count);
+  count_span.attr("edges", static_cast<std::int64_t>(edges.num_edges()));
+  std::vector<EdgeId> counts(n + 1, 0);
+  auto chunks = count_label_range(edges, labels, lo, hi, std::span<EdgeId>(counts).first(n),
+                                  self);
+  const EdgeId live = exclusive_prefix_sum(std::span<EdgeId>(counts));
+  const std::int64_t folded = chunks.folded;
+  count_span.close();
+
+  obs::ScopedSpan scatter_span(spans.scatter);
+  scatter_span.attr("edges", static_cast<std::int64_t>(live));
+  auto& tmp_second = scratch.scatter_second;
+  auto& tmp_weight = scratch.scatter_weight;
+  resize_for_overwrite(tmp_second, static_cast<std::size_t>(live));
+  resize_for_overwrite(tmp_weight, static_cast<std::size_t>(live));
+  scatter_label_range(edges, labels, chunks, std::span<const EdgeId>(counts), 0,
+                      std::span<V>(tmp_second), std::span<Weight>(tmp_weight));
+  chunks = {};
+  scatter_span.close();
+
+  // Pass 3: order each bucket by second vertex, accumulating duplicates
+  // (sorted, or accumulated by key when the bucket's keys are packed).
+  obs::ScopedSpan sort_span(spans.sort);
+  sort_span.attr("edges", static_cast<std::int64_t>(live));
+  const auto accumulated = sort_and_accumulate_buckets<V>(
+      std::span<const EdgeId>(counts), 0, std::span<V>(tmp_second),
+      std::span<Weight>(tmp_weight));
+  sort_span.attr("dense_buckets", accumulated.dense_buckets);
+  sort_span.close();
+
+  obs::ScopedSpan copy_span(spans.copy);
+  const EdgeId final_ne = copy_out_buckets(
+      std::span<const EdgeId>(counts), 0, std::span<const EdgeId>(accumulated.new_len),
+      std::span<const V>(tmp_second), std::span<const Weight>(tmp_weight), lo, out);
+  copy_span.attr("edges", static_cast<std::int64_t>(final_ne));
+  return folded;
+}
+
+}  // namespace detail
+
 /// Contracts `base` by the dense labeling `labels` (values in
 /// [0, num_labels)): every label class becomes one vertex carrying its
 /// members' collapsed internal weight as a self-loop; volumes and total
@@ -361,44 +437,12 @@ template <VertexId V>
   out.total_weight = base.total_weight;
   out.volume.assign(n, 0);
   out.self_weight.assign(n, 0);
-
-  obs::ScopedSpan count_span("contract.count");
-  count_span.attr("edges", static_cast<std::int64_t>(base.num_edges()));
   fold_vertex_state(base, labels, std::span<Weight>(out.self_weight),
                     std::span<Weight>(out.volume));
-  std::vector<EdgeId> counts(n + 1, 0);
-  auto chunks = count_label_range(base, labels, V{0}, out.nv,
-                                  std::span<EdgeId>(counts).first(n),
-                                  std::span<Weight>(out.self_weight));
-  const EdgeId live = exclusive_prefix_sum(std::span<EdgeId>(counts));
-  count_span.close();
-
-  obs::ScopedSpan scatter_span("contract.scatter");
-  scatter_span.attr("edges", static_cast<std::int64_t>(live));
-  auto& tmp_second = buffers.scatter_second;
-  auto& tmp_weight = buffers.scatter_weight;
-  detail::resize_for_overwrite(tmp_second, static_cast<std::size_t>(live));
-  detail::resize_for_overwrite(tmp_weight, static_cast<std::size_t>(live));
-  scatter_label_range(base, labels, chunks, std::span<const EdgeId>(counts), 0,
-                      std::span<V>(tmp_second), std::span<Weight>(tmp_weight));
-  chunks = {};
-  scatter_span.close();
-
-  // Pass 3: order each bucket by second vertex, accumulating duplicates
-  // (sorted, or accumulated by key when the bucket's keys are packed).
-  obs::ScopedSpan sort_span("contract.sort");
-  sort_span.attr("edges", static_cast<std::int64_t>(live));
-  const auto accumulated = sort_and_accumulate_buckets<V>(
-      std::span<const EdgeId>(counts), 0, std::span<V>(tmp_second),
-      std::span<Weight>(tmp_weight));
-  sort_span.attr("dense_buckets", accumulated.dense_buckets);
-  sort_span.close();
-
-  obs::ScopedSpan copy_span("contract.copy");
-  const EdgeId final_ne = copy_out_buckets(
-      std::span<const EdgeId>(counts), 0, std::span<const EdgeId>(accumulated.new_len),
-      std::span<const V>(tmp_second), std::span<const Weight>(tmp_weight), V{0}, out);
-  copy_span.attr("edges", static_cast<std::int64_t>(final_ne));
+  const std::int64_t folded =
+      detail::bucket_sort_range(base, labels, V{0}, out.nv, std::span<Weight>(out.self_weight),
+                                out, buffers, kContractSpans);
+  if (obs::Counter* c = obs::counter("contract.self_edges_folded")) c->add(folded);
   return out;
 }
 

@@ -1,16 +1,21 @@
 // Builds a CommunityGraph from a raw edge list, and applies normalized
 // delta batches to an already-built graph.
 //
-// Pipeline (all parallel): hash each edge into storage order, fold
-// self-loops into the self-weight array, sort the remaining triples by
-// (first, second), accumulate duplicates, and lay the result out as
-// contiguous sorted buckets.  This is the same machinery the bucket-sort
-// contraction uses each level, applied once to the input.
+// Building is a contraction under the identity labeling (paper
+// Sec. IV-A is Sec. IV-C applied once): the raw list is one edge range
+// that still holds self-loops and multi-edges, so the contraction
+// kernel's range passes (contract/label_contractor.hpp) build it.  One
+// validation pass, then count_label_range folds the self-loops and
+// counts each edge toward its hashed-first bucket with chunk-private
+// counters, scatter_label_range places the edges, and
+// sort_and_accumulate_buckets and copy_out_buckets lay out the sorted,
+// accumulated buckets.  No pass takes a per-edge atomic, and the arrays
+// do not depend on the input's edge order or the thread count.
 //
 // apply_delta() is the incremental path: instead of re-running the full
-// O(E log E) build for a small batch of mutations, it classifies each
-// delta against its bucket by binary search and merges old bucket and
-// deltas in one parallel O(E + D log D) pass, preserving every builder
+// build for a small batch of mutations, it classifies each delta
+// against its bucket by binary search and merges old bucket and deltas
+// in one parallel O(E + D log D) pass, preserving every builder
 // invariant (contiguous buckets in vertex order, sorted by second
 // endpoint, hashed placement, incremental volumes).
 #pragma once
@@ -23,130 +28,71 @@
 #include <stdexcept>
 #include <vector>
 
+#include "commdet/contract/label_contractor.hpp"
 #include "commdet/graph/community_graph.hpp"
 #include "commdet/graph/delta.hpp"
 #include "commdet/graph/edge_list.hpp"
+#include "commdet/obs/trace.hpp"
 #include "commdet/util/compact.hpp"
 #include "commdet/util/parallel.hpp"
 #include "commdet/util/prefix_sum.hpp"
-#include "commdet/util/sort.hpp"
 #include "commdet/util/types.hpp"
 
 namespace commdet {
 
+/// The pass spans of a graph build.
+inline constexpr BucketPassSpans kBuildSpans{"graph.build.count", "graph.build.scatter",
+                                             "graph.build.sort", "graph.build.copy"};
+
 namespace detail {
 
+/// A raw edge list read in place as an EdgeRange: efirst[i], esecond[i]
+/// and eweight[i] are edges[i].u, .v and .w.
 template <VertexId V>
-struct HashedTriple {
-  V first;
-  V second;
-  Weight w;
+struct RawEdgeRange {
+  template <auto Field>
+  struct Column {
+    const RawEdge<V>* edges;
+    [[nodiscard]] auto operator[](std::size_t i) const noexcept { return edges[i].*Field; }
+  };
+  Column<&RawEdge<V>::u> efirst;
+  Column<&RawEdge<V>::v> esecond;
+  Column<&RawEdge<V>::w> eweight;
+  EdgeId ne;
+
+  explicit RawEdgeRange(const EdgeList<V>& list) noexcept
+      : efirst{list.edges.data()}, esecond{list.edges.data()}, eweight{list.edges.data()},
+        ne{list.num_edges()} {}
+  [[nodiscard]] EdgeId num_edges() const noexcept { return ne; }
 };
 
 }  // namespace detail
 
 /// Builds the bucketed community graph.  Throws std::invalid_argument on
-/// out-of-range endpoints or non-positive weights.
+/// an out-of-range endpoint or, failing that, a non-positive weight.
 template <VertexId V>
 [[nodiscard]] CommunityGraph<V> build_community_graph(const EdgeList<V>& input) {
   const V nv = input.num_vertices;
-  const std::int64_t ne_raw = input.num_edges();
+  obs::ScopedSpan span("graph.build");
+  span.attr("edges", input.num_edges());
+  // A max-reduction: a bad endpoint (2) outranks a bad weight (1)
+  // wherever each lies.
+  const int bad = parallel_max(input.num_edges(), 0, [&](std::int64_t i) {
+    const auto& e = input.edges[static_cast<std::size_t>(i)];
+    if (e.u < 0 || e.u >= nv || e.v < 0 || e.v >= nv) return 2;
+    return e.w <= 0 ? 1 : 0;
+  });
+  if (bad == 2) throw std::invalid_argument("edge endpoint out of range");
+  if (bad == 1) throw std::invalid_argument("edge weight must be positive");
 
   CommunityGraph<V> g;
   g.nv = nv;
   g.self_weight.assign(static_cast<std::size_t>(nv), 0);
-
-  // Validate and split off self-loops while hashing the rest into storage
-  // order.  Self-loop weights are accumulated directly (atomics: several
-  // raw self-loops can hit the same vertex).
-  std::atomic<bool> bad_endpoint{false};
-  std::atomic<bool> bad_weight{false};
-  std::vector<detail::HashedTriple<V>> triples;
-  triples.reserve(static_cast<std::size_t>(ne_raw));
-  {
-    // Count non-self edges first so the triple array is sized once.
-    const std::int64_t non_self = parallel_count(ne_raw, [&](std::int64_t i) {
-      const auto& e = input.edges[static_cast<std::size_t>(i)];
-      return e.u != e.v;
-    });
-    triples.resize(static_cast<std::size_t>(non_self));
-
-    std::atomic<std::int64_t> cursor{0};
-    parallel_for(ne_raw, [&](std::int64_t i) {
-      const auto& e = input.edges[static_cast<std::size_t>(i)];
-      if (e.u < 0 || e.u >= nv || e.v < 0 || e.v >= nv) {
-        bad_endpoint.store(true, std::memory_order_relaxed);
-        return;
-      }
-      if (e.w <= 0) {
-        bad_weight.store(true, std::memory_order_relaxed);
-        return;
-      }
-      if (e.u == e.v) {
-        std::atomic_ref<Weight>(g.self_weight[static_cast<std::size_t>(e.u)])
-            .fetch_add(e.w, std::memory_order_relaxed);
-        return;
-      }
-      const auto [f, s] = hashed_edge_order(e.u, e.v);
-      const std::int64_t at = cursor.fetch_add(1, std::memory_order_relaxed);
-      triples[static_cast<std::size_t>(at)] = {f, s, e.w};
-    });
-    if (bad_endpoint.load()) throw std::invalid_argument("edge endpoint out of range");
-    if (bad_weight.load()) throw std::invalid_argument("edge weight must be positive");
-    triples.resize(static_cast<std::size_t>(cursor.load()));
-  }
-
-  // Sort by (first, second) and accumulate duplicates into the leader of
-  // each equal run.
-  parallel_sort(triples.begin(), triples.end(),
-                [](const detail::HashedTriple<V>& a, const detail::HashedTriple<V>& b) {
-                  return a.first != b.first ? a.first < b.first : a.second < b.second;
-                });
-
-  const std::int64_t nt = static_cast<std::int64_t>(triples.size());
-  std::vector<std::int64_t> is_leader(static_cast<std::size_t>(nt), 0);
-  parallel_for(nt, [&](std::int64_t i) {
-    is_leader[static_cast<std::size_t>(i)] =
-        (i == 0 || triples[static_cast<std::size_t>(i)].first !=
-                       triples[static_cast<std::size_t>(i - 1)].first ||
-         triples[static_cast<std::size_t>(i)].second !=
-             triples[static_cast<std::size_t>(i - 1)].second)
-            ? 1
-            : 0;
-  });
-  std::vector<std::int64_t> leaders_before(is_leader);
-  const std::int64_t ne = exclusive_prefix_sum(std::span<std::int64_t>(leaders_before));
-  // Output slot of triple i: leaders before it, plus itself if it leads its
-  // run, minus one — non-leaders land on their run leader's slot.
-
-  g.efirst.assign(static_cast<std::size_t>(ne), V{});
-  g.esecond.assign(static_cast<std::size_t>(ne), V{});
-  g.eweight.assign(static_cast<std::size_t>(ne), 0);
-  parallel_for(nt, [&](std::int64_t i) {
-    const auto& t = triples[static_cast<std::size_t>(i)];
-    const auto slot = static_cast<std::size_t>(leaders_before[static_cast<std::size_t>(i)] +
-                                               is_leader[static_cast<std::size_t>(i)] - 1);
-    if (is_leader[static_cast<std::size_t>(i)] != 0) {
-      g.efirst[slot] = t.first;
-      g.esecond[slot] = t.second;
-    }
-    std::atomic_ref<Weight>(g.eweight[slot]).fetch_add(t.w, std::memory_order_relaxed);
-  });
-
-  // Buckets: edges are sorted by first vertex, so each bucket is the
-  // contiguous run of its vertex.  Histogram + prefix sum gives cursors.
-  std::vector<EdgeId> counts(static_cast<std::size_t>(nv) + 1, 0);
-  parallel_for(ne, [&](std::int64_t e) {
-    std::atomic_ref<EdgeId>(counts[static_cast<std::size_t>(g.efirst[static_cast<std::size_t>(e)])])
-        .fetch_add(1, std::memory_order_relaxed);
-  });
-  exclusive_prefix_sum(std::span<EdgeId>(counts));
-  g.bucket_begin.assign(counts.begin(), counts.end() - 1);
-  g.bucket_end.assign(static_cast<std::size_t>(nv), 0);
-  parallel_for(static_cast<std::int64_t>(nv), [&](std::int64_t v) {
-    g.bucket_end[static_cast<std::size_t>(v)] = counts[static_cast<std::size_t>(v) + 1];
-  });
-
+  ContractionBuffers<V> scratch;
+  (void)detail::bucket_sort_range(detail::RawEdgeRange<V>(input), IdentityLabels<V>{}, V{0},
+                                  nv, std::span<Weight>(g.self_weight), g, scratch,
+                                  kBuildSpans);
+  scratch = {};
   g.recompute_volumes();
   g.total_weight = g.compute_total_weight();
   return g;

@@ -18,9 +18,8 @@
 // contraction level.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -93,31 +92,38 @@ struct CommunityGraph {
   /// Recomputes total_weight from the arrays (used by the validator and
   /// after hand-construction in tests).
   [[nodiscard]] Weight compute_total_weight() const {
-    const Weight edges = std::reduce(eweight.begin(), eweight.end(), Weight{0});
-    const Weight selves = std::reduce(self_weight.begin(), self_weight.end(), Weight{0});
-    return edges + selves;
+    const auto sum = [](const std::vector<Weight>& w) {
+      return parallel_sum<Weight>(static_cast<std::int64_t>(w.size()),
+                                  [&](std::int64_t i) { return w[static_cast<std::size_t>(i)]; });
+    };
+    return sum(eweight) + sum(self_weight);
   }
 
-  /// Recomputes the volume array from the edge arrays (parallel).
+  /// Recomputes the volume array from the edge arrays (parallel).  Each
+  /// chunk of edges adds into its own array, so a hub's volume is not a
+  /// contended atomic; at most ne / nv chunks.
   void recompute_volumes() {
-    volume.assign(static_cast<std::size_t>(nv), 0);
-    parallel_for(static_cast<std::int64_t>(nv), [&](std::int64_t v) {
-      volume[static_cast<std::size_t>(v)] =
-          2 * self_weight[static_cast<std::size_t>(v)];
-    });
-    // Edge contributions; sequential-friendly but atomics keep it parallel.
+    const auto n = static_cast<std::size_t>(nv);
     const EdgeId ne = num_edges();
-    parallel_for(ne, [&](std::int64_t e) {
-      const auto i = static_cast<std::size_t>(e);
-      atomic_add(volume, efirst[i], eweight[i]);
-      atomic_add(volume, esecond[i], eweight[i]);
+    const std::int64_t nchunks = std::clamp<std::int64_t>(
+        ne / std::max<std::int64_t>(static_cast<std::int64_t>(nv), 1), 1, parallel_threads());
+    std::vector<std::vector<Weight>> part(static_cast<std::size_t>(nchunks));
+    parallel_for(nchunks, [&](std::int64_t c) {
+      auto& vol = part[static_cast<std::size_t>(c)];
+      vol.assign(n, 0);
+      for (EdgeId e = ne * c / nchunks; e < ne * (c + 1) / nchunks; ++e) {
+        const auto i = static_cast<std::size_t>(e);
+        vol[static_cast<std::size_t>(efirst[i])] += eweight[i];
+        vol[static_cast<std::size_t>(esecond[i])] += eweight[i];
+      }
     });
-  }
-
- private:
-  static void atomic_add(std::vector<Weight>& values, V index, Weight delta) noexcept {
-    std::atomic_ref<Weight>(values[static_cast<std::size_t>(index)])
-        .fetch_add(delta, std::memory_order_relaxed);
+    volume.assign(n, 0);
+    parallel_for(static_cast<std::int64_t>(nv), [&](std::int64_t v) {
+      const auto i = static_cast<std::size_t>(v);
+      Weight vol = 2 * self_weight[i];
+      for (const auto& p : part) vol += p[i];
+      volume[i] = vol;
+    });
   }
 };
 

@@ -72,10 +72,12 @@ template <VertexId V>
                     std::span<Weight>(out.volume));
   std::vector<EdgeId> cum(n + 1, 0);
   EdgeId edges_in = 0;
+  std::int64_t folded = 0;
   for_each_edge_range(sg, [&](const ShardBlock<V>& b) {
     edges_in += b.num_edges();
-    (void)count_label_range(b, labels, V{0}, out.nv, std::span<EdgeId>(cum).first(n),
-                            std::span<Weight>(out.self_weight));
+    folded += count_label_range(b, labels, V{0}, out.nv, std::span<EdgeId>(cum).first(n),
+                                std::span<Weight>(out.self_weight))
+                  .folded;
   });
   count_span.attr("edges", static_cast<std::int64_t>(edges_in));
   const EdgeId live = exclusive_prefix_sum(std::span<EdgeId>(cum));
@@ -150,6 +152,7 @@ template <VertexId V>
     edges_out += group_out;
   }
 
+  if (obs::Counter* c = obs::counter("contract.self_edges_folded")) c->add(folded);
   if (obs::Counter* c = obs::counter("contract.edges_in")) c->add(edges_in);
   if (obs::Counter* c = obs::counter("contract.edges_out")) c->add(edges_out);
   if (obs::Counter* c = obs::counter("contract.scratch_bytes_moved")) {

@@ -52,7 +52,6 @@
 #include "commdet/util/compact.hpp"
 #include "commdet/util/parallel.hpp"
 #include "commdet/util/prefix_sum.hpp"
-#include "commdet/util/sort.hpp"
 #include "commdet/util/types.hpp"
 
 namespace commdet {
@@ -429,9 +428,10 @@ template <VertexId V>
 ///      edge-balanced ownership cuts.
 ///   2. add_edges() on every chunk routes each edge to its owner's
 ///      staging buffer (spilled to stage part files beyond a budget),
-///      then finalize() sorts/dedupes each shard independently into the
-///      canonical block layout — identical to partitioning the output
-///      of build_community_graph on the same input.
+///      then finalize() lays each shard out independently with the
+///      graph builder's passes over the shard's bucket window — identical
+///      to partitioning the output of build_community_graph on the same
+///      input.
 template <VertexId V>
 class ShardedGraphBuilder {
  public:
@@ -502,16 +502,15 @@ class ShardedGraphBuilder {
       const auto [f, s] = hashed_edge_order(e.u, e.v);
       const int owner = owner_of(f);
       auto& st = stage_[static_cast<std::size_t>(owner)];
-      st.first.push_back(f);
-      st.second.push_back(s);
-      st.weight.push_back(e.w);
-      if (graph_.spill.enabled &&
-          static_cast<std::int64_t>(st.first.size()) >= stage_budget_)
+      st.efirst.push_back(f);
+      st.esecond.push_back(s);
+      st.eweight.push_back(e.w);
+      if (graph_.spill.enabled && st.num_edges() >= stage_budget_)
         flush_stage(owner);
     }
   }
 
-  /// Sorts, dedupes, and lays out every shard; returns the finished
+  /// Accumulates and lays out every shard; returns the finished
   /// graph (blocks spilled as they complete when spill is on).
   [[nodiscard]] ShardedGraph<V> finalize() {
     if (!ranged_) finalize_ranges();
@@ -528,10 +527,14 @@ class ShardedGraphBuilder {
   }
 
  private:
+  /// One shard's routed edges, in hashed order (an EdgeRange).
   struct Stage {
-    std::vector<V> first;
-    std::vector<V> second;
-    std::vector<Weight> weight;
+    std::vector<V> efirst;
+    std::vector<V> esecond;
+    std::vector<Weight> eweight;
+    [[nodiscard]] EdgeId num_edges() const noexcept {
+      return static_cast<EdgeId>(efirst.size());
+    }
   };
 
   [[nodiscard]] int owner_of(V f) const noexcept {
@@ -547,96 +550,47 @@ class ShardedGraphBuilder {
 
   void flush_stage(int s) {
     auto& st = stage_[static_cast<std::size_t>(s)];
-    if (st.first.empty()) return;
+    if (st.efirst.empty()) return;
     detail::ensure_spill_dir(graph_.spill.directory);
     const std::string path = graph_.spill.directory + "/stage-" +
                              std::to_string(detail::next_shard_file_id()) + ".part";
     SnapshotWriter w(path, kShardStageSnapshotVersion);
-    w.write_i64_array(st.first);
-    w.write_i64_array(st.second);
-    w.write_i64_array(st.weight);
+    w.write_i64_array(st.efirst);
+    w.write_i64_array(st.esecond);
+    w.write_i64_array(st.eweight);
     w.commit();
     parts_[static_cast<std::size_t>(s)].push_back(path);
-    Stage{}.first.swap(st.first);
-    Stage{}.second.swap(st.second);
-    Stage{}.weight.swap(st.weight);
+    st = Stage{};
   }
 
+  /// Gathers shard s's spilled and staged edges and lays them out with
+  /// the graph builder's passes over the window [lo, hi).
   void finalize_shard(int s) {
     auto& b = graph_.shards[static_cast<std::size_t>(s)];
     const EdgeId expect = cum_[static_cast<std::size_t>(b.hi)] -
                           cum_[static_cast<std::size_t>(b.lo)];
-    std::vector<detail::HashedTriple<V>> triples;
-    triples.reserve(static_cast<std::size_t>(expect));
+    Stage st = std::exchange(stage_[static_cast<std::size_t>(s)], Stage{});
     for (const auto& path : parts_[static_cast<std::size_t>(s)]) {
       SnapshotReader r(path, kShardStageSnapshotVersion);
       const auto first = r.read_i64_array<V>();
       const auto second = r.read_i64_array<V>();
       const auto weight = r.read_i64_array<Weight>();
       r.finish();
-      for (std::size_t i = 0; i < first.size(); ++i)
-        triples.push_back({first[i], second[i], weight[i]});
+      st.efirst.insert(st.efirst.end(), first.begin(), first.end());
+      st.esecond.insert(st.esecond.end(), second.begin(), second.end());
+      st.eweight.insert(st.eweight.end(), weight.begin(), weight.end());
       (void)std::remove(path.c_str());
     }
     parts_[static_cast<std::size_t>(s)].clear();
-    auto& st = stage_[static_cast<std::size_t>(s)];
-    for (std::size_t i = 0; i < st.first.size(); ++i)
-      triples.push_back({st.first[i], st.second[i], st.weight[i]});
-    Stage{}.first.swap(st.first);
-    Stage{}.second.swap(st.second);
-    Stage{}.weight.swap(st.weight);
-    if (static_cast<EdgeId>(triples.size()) != expect)
+    if (st.num_edges() != expect)
       throw std::logic_error("shard staging does not match the counting pass");
 
-    parallel_sort(triples.begin(), triples.end(),
-                  [](const detail::HashedTriple<V>& a, const detail::HashedTriple<V>& b2) {
-                    return a.first != b2.first ? a.first < b2.first : a.second < b2.second;
-                  });
-
-    // Accumulate duplicates into run leaders (same pass as the builder).
-    const auto nt = static_cast<std::int64_t>(triples.size());
-    std::vector<std::int64_t> is_leader(static_cast<std::size_t>(nt), 0);
-    parallel_for(nt, [&](std::int64_t i) {
-      is_leader[static_cast<std::size_t>(i)] =
-          (i == 0 || triples[static_cast<std::size_t>(i)].first !=
-                         triples[static_cast<std::size_t>(i - 1)].first ||
-           triples[static_cast<std::size_t>(i)].second !=
-               triples[static_cast<std::size_t>(i - 1)].second)
-              ? 1
-              : 0;
-    });
-    std::vector<std::int64_t> leaders_before(is_leader);
-    const std::int64_t ne = exclusive_prefix_sum(std::span<std::int64_t>(leaders_before));
-
-    b.efirst.assign(static_cast<std::size_t>(ne), V{});
-    b.esecond.assign(static_cast<std::size_t>(ne), V{});
-    b.eweight.assign(static_cast<std::size_t>(ne), 0);
-    parallel_for(nt, [&](std::int64_t i) {
-      const auto& t = triples[static_cast<std::size_t>(i)];
-      const auto slot = static_cast<std::size_t>(
-          leaders_before[static_cast<std::size_t>(i)] + is_leader[static_cast<std::size_t>(i)] - 1);
-      if (is_leader[static_cast<std::size_t>(i)] != 0) {
-        b.efirst[slot] = t.first;
-        b.esecond[slot] = t.second;
-      }
-      std::atomic_ref<Weight>(b.eweight[slot]).fetch_add(t.w, std::memory_order_relaxed);
-    });
-    std::vector<detail::HashedTriple<V>>().swap(triples);
-
-    // Local buckets: edges sorted by first, so contiguous runs.
-    const auto owned = static_cast<std::int64_t>(b.hi - b.lo);
-    std::vector<EdgeId> bcounts(static_cast<std::size_t>(owned) + 1, 0);
-    parallel_for(ne, [&](std::int64_t e) {
-      const auto f = b.efirst[static_cast<std::size_t>(e)] - b.lo;
-      std::atomic_ref<EdgeId>(bcounts[static_cast<std::size_t>(f)])
-          .fetch_add(1, std::memory_order_relaxed);
-    });
-    (void)exclusive_prefix_sum(std::span<EdgeId>(bcounts));
-    b.bucket_begin.assign(bcounts.begin(), bcounts.end() - 1);
-    b.bucket_end.assign(static_cast<std::size_t>(owned), 0);
-    parallel_for(owned, [&](std::int64_t v) {
-      b.bucket_end[static_cast<std::size_t>(v)] = bcounts[static_cast<std::size_t>(v) + 1];
-    });
+    ContractionBuffers<V> scratch;
+    (void)detail::bucket_sort_range(st, IdentityLabels<V>{}, b.lo, b.hi, std::span<Weight>{},
+                                    b, scratch, kBuildSpans);
+    st = Stage{};
+    scratch = {};
+    const auto ne = static_cast<std::int64_t>(b.efirst.size());
 
     // Edge contributions to both endpoints' volumes (remote endpoints
     // land in the shared array — exchange point 1 in a multi-node port).

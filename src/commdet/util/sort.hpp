@@ -1,9 +1,10 @@
 // Parallel merge sort over random-access ranges.
 //
-// Used by the graph builder to order edge triples by (first, second)
-// before deduplication.  Recursive task-based merge sort: std::sort at the
-// leaves, std::inplace_merge on the way up.  Deterministic (stability is
-// irrelevant here: we sort by full keys).
+// Used where a whole array needs one global order: delta normalisation
+// (graph/delta.hpp) and edge-list sanitizing (robust/sanitize.hpp).
+// Building and contracting graphs sort per bucket instead.  Recursive
+// task-based merge sort: std::sort at the leaves, std::inplace_merge on
+// the way up.  Deterministic (callers sort by full keys).
 #pragma once
 
 #include <omp.h>

@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <stdexcept>
+#include <omp.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "commdet/gen/planted_partition.hpp"
+#include "commdet/gen/rmat.hpp"
 #include "commdet/graph/builder.hpp"
 #include "commdet/graph/stats.hpp"
 #include "commdet/graph/validate.hpp"
@@ -73,6 +82,17 @@ TYPED_TEST(BuilderTypedTest, FoldsSelfLoopsIntoSelfWeight) {
   EXPECT_EQ(g.total_weight, 12);
 }
 
+/// The message build_community_graph rejects `el` with ("" if it builds).
+template <typename V>
+std::string build_error(const EdgeList<V>& el) {
+  try {
+    (void)build_community_graph(el);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TYPED_TEST(BuilderTypedTest, RejectsBadInput) {
   using V = TypeParam;
   EdgeList<V> el;
@@ -89,6 +109,170 @@ TYPED_TEST(BuilderTypedTest, RejectsBadInput) {
   el3.num_vertices = 2;
   el3.edges.push_back({V{-1}, 1, 1});
   EXPECT_THROW((void)build_community_graph(el3), std::invalid_argument);
+
+  const std::string endpoint = "edge endpoint out of range";
+  const std::string weight = "edge weight must be positive";
+  EdgeList<V> loop;
+  loop.num_vertices = 2;
+  loop.add(0, 1);
+  loop.edges.push_back({1, 1, -3});  // a self-loop is checked too
+  EXPECT_EQ(build_error(loop), weight);
+
+  // A valid prefix long enough to give every thread a chunk; the bad
+  // endpoint sits in the last one, the bad weight in the first.
+  EdgeList<V> big;
+  big.num_vertices = 1000;
+  for (V i = 0; i < 100000; ++i) big.add(i % 1000, (i * 7 + 1) % 1000);
+  big.add(999, 1000);
+  EXPECT_EQ(build_error(big), endpoint);
+  big.edges.front().w = 0;
+  EXPECT_EQ(build_error(big), endpoint) << "the endpoint error wins";
+  big.edges.back().v = 0;
+  EXPECT_EQ(build_error(big), weight);
+}
+
+/// Restores the ambient OpenMP thread count when it goes out of scope.
+class ThreadCountGuard {
+ public:
+  ThreadCountGuard() : saved_(omp_get_max_threads()) {}
+  ~ThreadCountGuard() { omp_set_num_threads(saved_); }
+  ThreadCountGuard(const ThreadCountGuard&) = delete;
+  ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
+
+ private:
+  int saved_;
+};
+
+/// Serial reference build: self-loops fold into self weights, every
+/// other edge is hashed into storage order, the triples are sorted by
+/// (first, second) and equal runs merged, and the buckets are the
+/// vertex-ordered runs of first vertices.
+template <typename V>
+CommunityGraph<V> reference_build(const EdgeList<V>& in) {
+  const auto n = static_cast<std::size_t>(in.num_vertices);
+  CommunityGraph<V> g;
+  g.nv = in.num_vertices;
+  g.self_weight.assign(n, 0);
+  g.volume.assign(n, 0);
+  std::vector<std::tuple<V, V, Weight>> triples;
+  for (const auto& e : in.edges) {
+    g.total_weight += e.w;
+    g.volume[static_cast<std::size_t>(e.u)] += e.w;
+    g.volume[static_cast<std::size_t>(e.v)] += e.w;
+    if (e.u == e.v) {
+      g.self_weight[static_cast<std::size_t>(e.u)] += e.w;
+      continue;
+    }
+    const auto [f, s] = hashed_edge_order(e.u, e.v);
+    triples.emplace_back(f, s, e.w);
+  }
+  std::sort(triples.begin(), triples.end());
+  std::vector<EdgeId> count(n, 0);
+  for (const auto& [f, s, w] : triples) {
+    if (!g.efirst.empty() && g.efirst.back() == f && g.esecond.back() == s) {
+      g.eweight.back() += w;
+      continue;
+    }
+    g.efirst.push_back(f);
+    g.esecond.push_back(s);
+    g.eweight.push_back(w);
+    ++count[static_cast<std::size_t>(f)];
+  }
+  EdgeId at = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    g.bucket_begin.push_back(at);
+    at += count[v];
+    g.bucket_end.push_back(at);
+  }
+  return g;
+}
+
+/// build_community_graph equals the reference array for array, at 1
+/// thread and at 4.
+template <typename V>
+void expect_matches_reference(const EdgeList<V>& in) {
+  const auto want = reference_build(in);
+  ThreadCountGuard guard;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    omp_set_num_threads(threads);
+    const auto got = build_community_graph(in);
+    ASSERT_TRUE(validate_graph(got).ok()) << validate_graph(got).error;
+    EXPECT_EQ(got.nv, want.nv);
+    EXPECT_EQ(got.total_weight, want.total_weight);
+    EXPECT_EQ(got.bucket_begin, want.bucket_begin);
+    EXPECT_EQ(got.bucket_end, want.bucket_end);
+    EXPECT_EQ(got.self_weight, want.self_weight);
+    EXPECT_EQ(got.volume, want.volume);
+    EXPECT_EQ(got.efirst, want.efirst);
+    EXPECT_EQ(got.esecond, want.esecond);
+    EXPECT_EQ(got.eweight, want.eweight);
+  }
+}
+
+TYPED_TEST(BuilderTypedTest, MatchesSerialReferenceOnGeneratedGraphs) {
+  using V = TypeParam;
+  RmatParams rmat;
+  rmat.scale = 14;
+  rmat.edge_factor = 8;
+  expect_matches_reference(generate_rmat<V>(rmat));
+  PlantedPartitionParams sbm;
+  sbm.num_vertices = std::int64_t{1} << 14;
+  expect_matches_reference(generate_planted_partition<V>(sbm));
+}
+
+TYPED_TEST(BuilderTypedTest, MatchesSerialReferenceOnDuplicateHeavyInput) {
+  using V = TypeParam;
+  RmatParams p;
+  p.scale = 10;
+  p.edge_factor = 8;
+  const auto base = generate_rmat<V>(p);
+  EdgeList<V> el;
+  el.num_vertices = base.num_vertices;
+  for (int k = 0; k < 6; ++k)
+    for (const auto& e : base.edges)
+      el.edges.push_back(k % 2 == 0 ? RawEdge<V>{e.u, e.v, 1 + k} : RawEdge<V>{e.v, e.u, 1 + k});
+  std::shuffle(el.edges.begin(), el.edges.end(), std::mt19937_64(7));
+  expect_matches_reference(el);
+}
+
+TYPED_TEST(BuilderTypedTest, MatchesSerialReferenceOnSelfLoopHeavyInput) {
+  using V = TypeParam;
+  std::mt19937_64 rng(11);
+  EdgeList<V> mostly;
+  mostly.num_vertices = 1000;
+  EdgeList<V> all;
+  all.num_vertices = 1000;
+  for (int i = 0; i < 20000; ++i) {
+    const auto u = static_cast<V>(rng() % 1000);
+    const auto v = static_cast<V>(rng() % 1000);
+    const auto w = static_cast<Weight>(1 + rng() % 4);
+    mostly.add(u, i % 5 == 0 ? v : u, w);
+    all.add(u, u, w);
+  }
+  expect_matches_reference(mostly);
+  expect_matches_reference(all);
+}
+
+TYPED_TEST(BuilderTypedTest, MatchesSerialReferenceOnDegenerateInput) {
+  using V = TypeParam;
+  EdgeList<V> isolated;  // most vertices have no edge
+  isolated.num_vertices = 10000;
+  for (V v = 0; v < 100; ++v) isolated.add(v, (v * 13 + 5) % 100, 2);
+  isolated.add(9999, 5000);
+  expect_matches_reference(isolated);
+
+  EdgeList<V> one;
+  one.num_vertices = 1;
+  expect_matches_reference(one);
+  one.add(0, 0, 3);
+  one.add(0, 0, 4);
+  expect_matches_reference(one);
+
+  EdgeList<V> empty;
+  expect_matches_reference(empty);
+  empty.num_vertices = 5;
+  expect_matches_reference(empty);
 }
 
 TYPED_TEST(BuilderTypedTest, EmptyGraph) {

@@ -15,12 +15,15 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <span>
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "commdet/cc/connected_components.hpp"
 #include "commdet/core/agglomerate.hpp"
+#include "commdet/gen/rmat.hpp"
 #include "commdet/gen/simple_graphs.hpp"
 #include "commdet/graph/builder.hpp"
 #include "commdet/graph/stats.hpp"
@@ -480,6 +483,49 @@ TEST(ObsReport, KernelSpansAndCountersExplainSortAndMatchWork) {
   std::int64_t pairs = 0;
   for (const auto& level : sharded.levels) pairs += level.pairs_matched;
   EXPECT_EQ(metrics.snapshot().at("contract.self_edges_folded"), pairs);
+}
+
+TEST(ObsReport, SetUpSpansExplainBuildAndLeaveContractMetricsAlone) {
+  // Largest component and graph build trace their passes, each with an
+  // edge count.  The build runs the contraction kernel's passes but is
+  // not a contraction: it emits no contract.* span or metric, although
+  // its count pass folds self-loops.
+  RmatParams p;
+  p.scale = 12;
+  p.edge_factor = 8;
+  auto raw = generate_rmat<V32>(p);
+  for (V32 v = 0; v < 50; ++v) raw.add(v, v, 2);
+  obs::Trace trace;
+  obs::MetricsRegistry metrics;
+  CommunityGraph<V32> g;
+  {
+    obs::TraceSession ts(trace);
+    obs::MetricsSession ms(metrics);
+    g = build_community_graph(largest_component(raw));
+  }
+  ASSERT_GT(std::reduce(g.self_weight.begin(), g.self_weight.end()), 0);
+  const auto spans = trace.spans();
+  std::map<std::string, std::int64_t> edges;
+  for (const auto& s : spans) {
+    EXPECT_FALSE(s.name.starts_with("contract")) << s.name;
+    const auto attr = std::find_if(s.attrs.begin(), s.attrs.end(),
+                                   [](const obs::Attr& a) { return a.key == "edges"; });
+    ASSERT_NE(attr, s.attrs.end()) << s.name;
+    edges[s.name] = std::get<std::int64_t>(attr->value);
+    if (s.name.starts_with("graph.build.")) {
+      EXPECT_EQ(spans[s.parent - 1].name, "graph.build") << s.name;
+    }
+  }
+  EXPECT_EQ(edges.at("cc.union_find"), raw.num_edges());
+  EXPECT_LT(edges.at("cc.extract"), raw.num_edges());
+  EXPECT_EQ(edges.at("graph.build"), edges.at("cc.extract"));
+  EXPECT_EQ(edges.at("graph.build.count"), edges.at("cc.extract"));
+  EXPECT_LE(edges.at("graph.build.scatter"), edges.at("graph.build.count"));
+  EXPECT_EQ(edges.at("graph.build.sort"), edges.at("graph.build.scatter"));
+  EXPECT_EQ(edges.at("graph.build.copy"), g.num_edges());
+  EXPECT_EQ(edges.size(), 7u);
+  for (const auto& [name, value] : metrics.snapshot())
+    EXPECT_FALSE(name.starts_with("contract.")) << name << " = " << value;
 }
 
 TEST(ObsReport, DetectionReportValidatesAndCarriesSchema) {
