@@ -148,9 +148,13 @@ template <VertexId V, EdgeScorer S>
         ScopedTimer t(stats.match_seconds);
         obs::ScopedSpan span("match");
         COMMDET_FAULT_POINT(fault::kMatch, Phase::kMatch);
-        matching = sharded_match(sg, scorer);
+        BidStats work;
+        matching = sharded_match(sg, scorer, &work);
         span.attr("pairs_matched", matching.num_pairs);
         span.attr("sweeps", matching.sweeps);
+        span.attr("edges_visited", work.visited);
+        span.attr("edges_bid", work.bids);
+        span.attr("bid_locks", work.locks);
       }
       stats.pairs_matched = matching.num_pairs;
       stats.match_sweeps = matching.sweeps;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <numeric>
@@ -17,8 +18,10 @@
 #include "commdet/match/matching.hpp"
 #include "commdet/match/sequential_greedy_matcher.hpp"
 #include "commdet/match/unmatched_list_matcher.hpp"
+#include "commdet/obs/metrics.hpp"
 #include "commdet/score/score_edges.hpp"
 #include "commdet/score/scorers.hpp"
+#include "commdet/util/rng.hpp"
 
 namespace commdet {
 namespace {
@@ -330,6 +333,189 @@ TEST(UnmatchedList, PrunedScanMatchesFullRescanOnCoarseLevels) {
     EXPECT_GT(level, 3) << "too few levels to reach weighted, long buckets";
   }
   omp_set_num_threads(saved_threads);
+}
+
+/// A bare edge range (no buckets) for driving EdgeSweepOffers directly.
+struct TestEdges {
+  std::vector<V32> efirst;
+  std::vector<V32> esecond;
+  std::vector<Weight> eweight;
+  [[nodiscard]] EdgeId num_edges() const noexcept { return static_cast<EdgeId>(efirst.size()); }
+  void add(V32 a, V32 b) {
+    efirst.push_back(a);
+    esecond.push_back(b);
+    eweight.push_back(1);
+  }
+};
+
+bool live_bit(const std::vector<std::uint64_t>& live, std::size_t i) {
+  return ((live[i / 64] >> (i % 64)) & 1) != 0;
+}
+
+/// One serial edge-sweep round: the edges that bid under `mate`, and the
+/// pairs of mutual Offer::beats maxima matched into `mate`.
+std::vector<bool> serial_sweep(const TestEdges& edges, const std::vector<Score>& scores,
+                               std::vector<V32>& mate) {
+  const auto ne = static_cast<std::size_t>(edges.num_edges());
+  std::vector<bool> bid(ne, false);
+  std::vector<Offer<V32>> best(mate.size());
+  std::vector<V32> partner(mate.size(), kNoVertex<V32>);
+  for (std::size_t i = 0; i < ne; ++i) {
+    const V32 a = edges.efirst[i];
+    const V32 b = edges.esecond[i];
+    if (scores[i] <= 0.0 || mate[static_cast<std::size_t>(a)] != kNoVertex<V32> ||
+        mate[static_cast<std::size_t>(b)] != kNoVertex<V32>)
+      continue;
+    bid[i] = true;
+    const auto offer = make_offer(scores[i], a, b);
+    for (const auto& [at, other] : {std::pair{a, b}, std::pair{b, a}}) {
+      if (offer.beats(best[static_cast<std::size_t>(at)])) {
+        best[static_cast<std::size_t>(at)] = offer;
+        partner[static_cast<std::size_t>(at)] = other;
+      }
+    }
+  }
+  for (std::size_t u = 0; u < mate.size(); ++u) {
+    const V32 p = partner[u];
+    if (p != kNoVertex<V32> && partner[static_cast<std::size_t>(p)] == static_cast<V32>(u))
+      mate[u] = p;
+  }
+  return bid;
+}
+
+TEST(EdgeSweepOffers, LiveBitsAreTheBiddingEdges) {
+  // Sizes around the 64-edge word (tail masking) and one of many words;
+  // endpoints and scores drawn so that some edges never bid, many tie,
+  // and matching takes several sweeps.
+  const int saved_threads = omp_get_max_threads();
+  for (const EdgeId ne : {0, 1, 63, 64, 65, 10007}) {
+    const V32 nv = static_cast<V32>(std::max<EdgeId>(2, ne / 4 + 2));
+    Xoshiro256ss rng(static_cast<std::uint64_t>(ne) + 1);
+    TestEdges edges;
+    std::vector<Score> scores;
+    for (EdgeId e = 0; e < ne; ++e) {
+      const auto a = static_cast<V32>(rng() % static_cast<std::uint64_t>(nv));
+      auto b = static_cast<V32>(rng() % static_cast<std::uint64_t>(nv - 1));
+      if (b >= a) ++b;
+      edges.add(a, b);
+      static constexpr Score kScores[] = {-1.0, 0.0, 0.5, 1.0, 1.0, 2.0};
+      scores.push_back(kScores[rng() % 6]);
+    }
+    for (const int threads : {1, 3, 4}) {
+      SCOPED_TRACE(testing::Message() << "ne " << ne << ", " << threads << " threads");
+      omp_set_num_threads(threads);
+      EdgeSweepOffers<V32> offers(nv);
+      std::vector<V32> mate(static_cast<std::size_t>(nv), kNoVertex<V32>);
+      std::vector<V32> reference_mate = mate;
+      std::vector<std::uint64_t> live;
+      fill_live_edges(live, ne);
+      ASSERT_EQ(static_cast<EdgeId>(live.size()), (ne + 63) / 64);
+      std::int64_t was_live = ne;
+      int sweep = 1;
+      for (;; ++sweep) {
+        ASSERT_LE(sweep, 64) << "no progress";
+        const auto expected = serial_sweep(edges, scores, reference_mate);
+        const auto s = offers.bid(edges, [&](std::size_t i) { return scores[i]; },
+                                  std::as_const(mate), live);
+        std::int64_t bidding = 0;
+        std::vector<bool> slot_bid(static_cast<std::size_t>(nv), false);
+        for (std::size_t i = 0; i < static_cast<std::size_t>(ne); ++i) {
+          ASSERT_EQ(live_bit(live, i), expected[i]) << "sweep " << sweep << ", edge " << i;
+          if (!expected[i]) continue;
+          ++bidding;
+          slot_bid[static_cast<std::size_t>(edges.efirst[i])] = true;
+          slot_bid[static_cast<std::size_t>(edges.esecond[i])] = true;
+        }
+        for (std::size_t w = static_cast<std::size_t>(ne) / 64; w < live.size(); ++w)
+          EXPECT_EQ(live[w] >> (ne % 64), 0u) << "bits past the range";
+        EXPECT_EQ(s.visited, was_live);
+        EXPECT_EQ(s.bids, bidding);
+        // Every slot's first bid locks; no bid locks more than both ends.
+        EXPECT_GE(s.locks, std::count(slot_bid.begin(), slot_bid.end(), true));
+        EXPECT_LE(s.locks, 2 * s.bids);
+        was_live = bidding;
+        if (s.bids == 0) break;
+        (void)offers.reconcile(mate);
+        ASSERT_EQ(mate, reference_mate) << "sweep " << sweep;
+      }
+      if (ne > 64) {
+        EXPECT_GE(sweep, 4) << "too few sweeps for bits to die across sweeps";
+      }
+    }
+  }
+  omp_set_num_threads(saved_threads);
+}
+
+TEST(EdgeSweepOffers, PreCheckKeepsTieOrder) {
+  // Every leaf offers the hub the same score, so the pre-check never
+  // drops a bid and the hub's slot is decided by Offer::beats alone.  A
+  // second pass mixes in lower scores, which the pre-check may drop.
+  const int saved_threads = omp_get_max_threads();
+  constexpr V32 kLeaves = 4000;
+  TestEdges star;
+  for (V32 leaf = 1; leaf <= kLeaves; ++leaf) {
+    if (leaf % 2 == 0) star.add(0, leaf);
+    else star.add(leaf, 0);
+  }
+  for (const bool mixed : {false, true}) {
+    std::vector<Score> scores(static_cast<std::size_t>(kLeaves), 1.0);
+    if (mixed)
+      for (std::size_t i = 0; i < scores.size(); i += 3) scores[i] = 0.5;
+    Offer<V32> best;
+    V32 winner = kNoVertex<V32>;
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      const auto offer = make_offer(scores[i], star.efirst[i], star.esecond[i]);
+      if (offer.beats(best)) {
+        best = offer;
+        winner = best.hi;
+      }
+    }
+    for (const int threads : {1, 3, 4}) {
+      SCOPED_TRACE(testing::Message() << (mixed ? "mixed" : "equal") << " scores, "
+                                      << threads << " threads");
+      omp_set_num_threads(threads);
+      EdgeSweepOffers<V32> offers(kLeaves + 1);
+      std::vector<V32> mate(static_cast<std::size_t>(kLeaves) + 1, kNoVertex<V32>);
+      std::vector<std::uint64_t> live;
+      fill_live_edges(live, star.num_edges());
+      const auto s = offers.bid(star, [&](std::size_t i) { return scores[i]; },
+                                std::as_const(mate), live);
+      EXPECT_EQ(s.bids, kLeaves);
+      // Each leaf's slot takes its one offer; equal scores at the hub lock.
+      EXPECT_GE(s.locks, kLeaves + 1);
+      if (!mixed) {
+        EXPECT_EQ(s.locks, 2 * kLeaves);
+      }
+      EXPECT_EQ(offers.reconcile(mate), 1);
+      EXPECT_EQ(mate[0], winner);
+    }
+  }
+  omp_set_num_threads(saved_threads);
+}
+
+TEST(EdgeSweepOffers, CountersReportSweepWork) {
+  // The flat matcher re-bids every edge each sweep: it visits sweeps x E.
+  RmatParams p;
+  p.scale = 11;
+  p.edge_factor = 8;
+  const auto g = build_community_graph(generate_rmat<V32>(p));
+  std::vector<Score> scores;
+  score_edges(g, ModularityScorer{}, scores);
+  obs::MetricsRegistry reg;
+  Matching<V32> m;
+  {
+    obs::MetricsSession session(reg);
+    m = EdgeSweepMatcher<V32>{}.match(g, scores);
+  }
+  EXPECT_EQ(m.mate, EdgeSweepMatcher<V32>{}.match(g, scores).mate);
+  const auto visited = reg.counter("match.edges_visited").value();
+  const auto bid = reg.counter("match.edges_bid").value();
+  const auto locks = reg.counter("match.bid_locks").value();
+  EXPECT_EQ(visited, m.sweeps * g.num_edges());
+  EXPECT_GT(bid, 0);
+  EXPECT_LT(bid, visited);
+  EXPECT_GT(locks, 0);
+  EXPECT_LE(locks, 2 * bid);
 }
 
 TEST(SequentialGreedy, DeterministicallyPicksHighestScores) {

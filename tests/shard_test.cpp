@@ -281,6 +281,72 @@ TEST(ShardMatch, ParityWithEdgeSweep) {
   }
 }
 
+TEST(ShardMatch, ParityWithEdgeSweepUnevenBlocksAcrossThreads) {
+  // K=3 cuts blocks of unequal sizes; the live-edge bitmaps must keep the
+  // matching bit-identical to the flat matcher at any thread count.
+  const int saved_threads = omp_get_max_threads();
+  const auto graphs = parity_graphs();
+  for (std::size_t level = 0; level < graphs.size(); ++level) {
+    const auto& g = graphs[level];
+    for_each_parity_scorer([&](const auto& scorer, const char* name) {
+      std::vector<Score> scores;
+      (void)score_edges(g, scorer, scores);
+      const auto oracle = EdgeSweepMatcher<V32>{}.match(g, scores);
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(testing::Message() << name << ", level " << level + 1 << ", "
+                                        << threads << " threads");
+        omp_set_num_threads(threads);
+        auto sg = partition_graph(g, 3);
+        const auto m = sharded_match(sg, scorer);
+        EXPECT_EQ(m.mate, oracle.mate);
+        EXPECT_EQ(m.num_pairs, oracle.num_pairs);
+        EXPECT_EQ(m.sweeps, oracle.sweeps);
+      }
+    });
+  }
+  omp_set_num_threads(saved_threads);
+}
+
+TEST(ShardMatch, SpillSkipsDeadBlocks) {
+  // Disjoint pairs (vertices [0, 6000)) all match in sweep 1, so their
+  // blocks have no bid in sweep 2 and are not leased again; the path on
+  // [6000, 9000) keeps its blocks bidding for several sweeps.
+  EdgeList<V32> el;
+  el.num_vertices = 9000;
+  for (V32 v = 0; v < 6000; v += 2) el.add(v, v + 1);
+  for (V32 v = 6000; v + 1 < 9000; ++v) el.add(v, v + 1);
+  const auto g = build_community_graph(el);
+  constexpr int kShards = 4;
+  const ModularityScorer scorer;
+  std::vector<Score> scores;
+  (void)score_edges(g, scorer, scores);
+  const auto oracle = EdgeSweepMatcher<V32>{}.match(g, scores);
+
+  auto in_core = partition_graph(g, kShards);
+  const auto in_core_m = sharded_match(in_core, scorer);
+  const std::string dir = fresh_dir("shard_match_spill");
+  auto spilled = partition_graph(g, kShards, ShardSpill{true, dir});
+  ASSERT_EQ(spilled.num_shards(), kShards);
+  obs::MetricsRegistry reg;
+  BidStats work;
+  Matching<V32> m;
+  {
+    obs::MetricsSession session(reg);
+    m = sharded_match(spilled, scorer, &work);
+  }
+  EXPECT_EQ(m.mate, oracle.mate);
+  EXPECT_EQ(m.mate, in_core_m.mate);
+  EXPECT_EQ(m.sweeps, in_core_m.sweeps);
+  ASSERT_GE(m.sweeps, 3) << "the path should need several sweeps";
+  const auto reads = reg.counter("shard.spill.reads").value();
+  EXPECT_LT(reads, static_cast<std::int64_t>(m.sweeps) * kShards);
+  EXPECT_GE(reads, 2 * kShards);  // every block is read in sweeps 1 and 2
+  EXPECT_EQ(reg.counter("match.edges_visited").value(), work.visited);
+  EXPECT_EQ(reg.counter("match.edges_bid").value(), work.bids);
+  EXPECT_EQ(reg.counter("match.bid_locks").value(), work.locks);
+  EXPECT_LT(work.visited, static_cast<std::int64_t>(m.sweeps) * g.num_edges());
+}
+
 TEST(ShardContract, BitParityWithBucketSort) {
   const auto g = rmat_graph(10);
   std::vector<Score> scores;
