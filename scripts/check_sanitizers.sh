@@ -2,10 +2,10 @@
 # Builds and runs the test suite under the sanitizers:
 #
 #   1. ASan + UBSan over the full tier-1 suite, then the contraction,
-#      matching (edge-sweep kernel included), shard, graph-build and
-#      largest-component tests again at OMP_NUM_THREADS=4,
-#   2. TSan over the concurrency-heavy matcher/contractor/driver tests
-#      plus the streaming-service suite (a full TSan run is minutes of
+#      matching (edge-sweep kernel included), shard, graph-build,
+#      largest-component and delta-apply tests again at OMP_NUM_THREADS=4,
+#   2. TSan over the concurrency-heavy matcher/contractor/driver and
+#      delta-apply tests plus the streaming-service suite (a full TSan run is minutes of
 #      overhead; the data-race surface lives in match/, contract/, the
 #      parallel primitives, and the serve writer/reader exchange).
 #
@@ -26,7 +26,7 @@ run_asan() {
   echo "== ASan + UBSan: kernel tests at 4 threads =="
   OMP_NUM_THREADS=4 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure -j "${jobs}" \
-      -R 'Contract|SortAndAccumulate|Match|UnmatchedList|EdgeSweep|Shard|Builder|Cc'
+      -R 'Contract|SortAndAccumulate|Match|UnmatchedList|EdgeSweep|Shard|Builder|Cc|ApplyDelta'
 }
 
 run_tsan() {
@@ -35,7 +35,7 @@ run_tsan() {
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   for t in util_parallel_test util_spinlock_test match_test contract_test \
            agglomerate_test robust_budget_test sanitize_test obs_test \
-           serve_test telemetry_test cluster_test algo_test shard_test; do
+           serve_test telemetry_test cluster_test algo_test shard_test dyn_test; do
     cmake --build build-tsan -j "${jobs}" --target "${t}" > /dev/null
   done
   # OpenMP runtimes trip TSan's lock-order heuristics without the
@@ -44,7 +44,7 @@ run_tsan() {
   # internals (see scripts/tsan.supp).
   TSAN_OPTIONS="halt_on_error=1 suppressions=$(pwd)/scripts/tsan.supp" \
     ctest --test-dir build-tsan --output-on-failure -j "${jobs}" \
-      -R "ParallelFor|ParallelSum|ParallelCount|ParallelMax|ParallelExceptions|ExceptionCollector|Spinlock|Match|EdgeSweep|Contract|Agglomerate|Sanitize|BudgetTracker|Obs|Serve|Telemetry|Cluster|Algo|Shard"
+      -R "ParallelFor|ParallelSum|ParallelCount|ParallelMax|ParallelExceptions|ExceptionCollector|Spinlock|Match|EdgeSweep|Contract|Agglomerate|Sanitize|BudgetTracker|Obs|Serve|Telemetry|Cluster|Algo|Shard|ApplyDelta"
 }
 
 case "${mode}" in

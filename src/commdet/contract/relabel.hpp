@@ -7,6 +7,7 @@
 // under merges, so the new volume array is a scatter-add.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -59,16 +60,47 @@ template <VertexId V>
 /// self-loop weight into the label's self weight.  `self` and `volume`
 /// are num_labels long and are added to (relabel convention: volumes are
 /// final, self weights still lack the intra-label edges the contractor's
-/// edge pass folds in).
+/// edge pass folds in).  A matching's labels (at least nv / 2 of them)
+/// are added in place.  Fewer labels than nv / threads — a clustering's —
+/// would serialize the threads on a few hot slots, so those fold into
+/// chunk-private arrays first.  Weights are integers: both give the same
+/// sums.
 template <VertexState G, VertexId V>
 void fold_vertex_state(const G& g, std::span<const V> labels, std::span<Weight> self,
                        std::span<Weight> volume) {
-  parallel_for(static_cast<std::int64_t>(g.nv), [&](std::int64_t v) {
-    const auto vi = static_cast<std::size_t>(v);
-    const auto c = static_cast<std::size_t>(labels[vi]);
-    std::atomic_ref<Weight>(volume[c]).fetch_add(g.volume[vi], std::memory_order_relaxed);
-    if (g.self_weight[vi] > 0)
-      std::atomic_ref<Weight>(self[c]).fetch_add(g.self_weight[vi], std::memory_order_relaxed);
+  const auto nv = static_cast<std::int64_t>(g.nv);
+  const auto n = static_cast<std::int64_t>(volume.size());
+  const std::int64_t nchunks = std::max(1, omp_get_max_threads());
+  if (nchunks == 1 || n * nchunks >= nv) {
+    parallel_for(nv, [&](std::int64_t v) {
+      const auto vi = static_cast<std::size_t>(v);
+      const auto c = static_cast<std::size_t>(labels[vi]);
+      std::atomic_ref<Weight>(volume[c]).fetch_add(g.volume[vi], std::memory_order_relaxed);
+      if (g.self_weight[vi] > 0)
+        std::atomic_ref<Weight>(self[c]).fetch_add(g.self_weight[vi], std::memory_order_relaxed);
+    });
+    return;
+  }
+  std::vector<std::vector<Weight>> chunk_self(static_cast<std::size_t>(nchunks));
+  std::vector<std::vector<Weight>> chunk_volume(static_cast<std::size_t>(nchunks));
+  parallel_for_dynamic(nchunks, [&](std::int64_t c) {
+    auto& cs = chunk_self[static_cast<std::size_t>(c)];
+    auto& cv = chunk_volume[static_cast<std::size_t>(c)];
+    cs.assign(static_cast<std::size_t>(n), 0);
+    cv.assign(static_cast<std::size_t>(n), 0);
+    for (std::int64_t v = nv * c / nchunks, ve = nv * (c + 1) / nchunks; v < ve; ++v) {
+      const auto vi = static_cast<std::size_t>(v);
+      const auto l = static_cast<std::size_t>(labels[vi]);
+      cv[l] += g.volume[vi];
+      cs[l] += g.self_weight[vi];
+    }
+  }, /*chunk=*/1);
+  parallel_for(n, [&](std::int64_t l) {
+    const auto li = static_cast<std::size_t>(l);
+    for (std::int64_t c = 0; c < nchunks; ++c) {
+      volume[li] += chunk_volume[static_cast<std::size_t>(c)][li];
+      self[li] += chunk_self[static_cast<std::size_t>(c)][li];
+    }
   });
 }
 

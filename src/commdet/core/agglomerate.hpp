@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -162,36 +163,270 @@ template <VertexState G>
   return static_cast<double>(inside) / static_cast<double>(g.total_weight);
 }
 
-/// The level loop, shared by fresh and resumed runs.  `resume` seats
-/// the loop at a checkpoint's level boundary: `g` is the restored
-/// community graph and the maps/history/elapsed time come from the
-/// checkpoint (moved out of it).
+/// The level-boundary policy of an agglomeration run, shared by the
+/// unsharded driver (agglomerate_impl below) and the sharded one
+/// (shard/shard_detect.hpp).  It owns the run span, the result and its
+/// lazy community map, and the budget; run() is the level loop: the
+/// stop checks (interrupt, deadline, memory), the termination tests
+/// (level cap, local maximum, no matches, coverage, minimum
+/// communities, stall), the phase spans and timers, the post-contraction
+/// bookkeeping (compose, hierarchy, quality, RSS probe), and the
+/// containment of a failing level.  A driver supplies its graph and the
+/// three phase calls as lambdas, so a level costs no indirect call.
+template <VertexId V>
+class LevelLoop {
+ public:
+  /// Seats the run on graph `g`.  A fresh run passes an empty `result`
+  /// and starts from the identity map; a resumed run passes the maps
+  /// and history its checkpoint carried and the time it already spent.
+  template <VertexState G>
+  LevelLoop(const G& g, const AgglomerationOptions& opts, Clustering<V> result = {},
+            double base_elapsed = 0.0)
+      : opts_(opts), result_(std::move(result)),
+        community_map_(result_.community, static_cast<std::int64_t>(g.nv)),
+        budget_(opts.budget, base_elapsed), base_elapsed_(base_elapsed),
+        completed_levels_(static_cast<int>(result_.levels.size())) {
+    span_.attr("nv", static_cast<std::int64_t>(g.nv));
+    span_.attr("ne", static_cast<std::int64_t>(g.num_edges()));
+    if (result_.community.empty()) {
+      result_.community.resize(static_cast<std::size_t>(g.nv));
+      std::iota(result_.community.begin(), result_.community.end(), V{0});
+    }
+    result_.num_communities = static_cast<std::int64_t>(g.nv);
+    result_.final_modularity = partition_modularity(g);
+    result_.final_coverage = partition_coverage(g);
+  }
+  LevelLoop(const LevelLoop&) = delete;
+  LevelLoop& operator=(const LevelLoop&) = delete;
+
+  [[nodiscard]] Clustering<V>& result() noexcept { return result_; }
+  [[nodiscard]] obs::ScopedSpan& span() noexcept { return span_; }
+  [[nodiscard]] int completed_levels() const noexcept { return completed_levels_; }
+  [[nodiscard]] int last_completed_level() const noexcept { return last_completed_level_; }
+  [[nodiscard]] double elapsed_seconds() const noexcept {
+    return base_elapsed_ + timer_.seconds();
+  }
+  /// Folds the composed levels into result().community; must precede
+  /// every read of it.
+  void flush() { community_map_.flush(); }
+
+  /// Runs levels start_level, start_level + 1, ... over `g` until a
+  /// termination test or a stop fires.  Per level:
+  ///   score(span) -> ScoreSummary
+  ///   match(span) -> Matching<V>
+  ///   contract(matching, span) -> new_label, after replacing `g`
+  ///   at_boundary(level), once the level completed and the run goes on.
+  /// `working_bytes()` is what the memory budget counts.  Score and
+  /// match must not mutate `g`, and contract must throw before it
+  /// replaces `g`, so a contained failure leaves `g` and the maps at the
+  /// last completed level.
+  template <VertexState G, typename Bytes, typename Score, typename Match, typename Contract,
+            typename Boundary>
+  void run(const G& g, int start_level, Bytes&& working_bytes, Score&& score, Match&& match,
+           Contract&& contract, Boundary&& at_boundary) {
+    last_completed_level_ = start_level - 1;
+    for (int level = start_level;; ++level) {
+      if (opts_.max_levels > 0 && level > opts_.max_levels) {
+        result_.reason = TerminationReason::kLevelCap;
+        return;
+      }
+      if (stop_requested(working_bytes, /*check_memory=*/true)) return;
+
+      LevelStats stats;
+      stats.level = level;
+      stats.nv_before = static_cast<std::int64_t>(g.nv);
+      stats.ne_before = g.num_edges();
+
+      obs::ScopedSpan level_span("level");
+      level_span.attr("level", level);
+      level_span.attr("nv_before", stats.nv_before);
+      level_span.attr("ne_before", static_cast<std::int64_t>(stats.ne_before));
+
+      // The three phases run under containment: an exception raised
+      // inside any of them (already rethrown on this thread by the
+      // parallel wrappers) abandons the level; `result_` stays the valid
+      // best-so-far, tagged with the error.
+      Phase phase = Phase::kScore;
+      try {
+        ScoreSummary summary;
+        {
+          ScopedTimer t(stats.score_seconds);
+          obs::ScopedSpan span("score");
+          summary = score(span);
+          span.attr("positive_edges", static_cast<std::int64_t>(summary.positive_edges));
+          span.attr("max_score", summary.max_score);
+        }
+        stats.positive_edges = summary.positive_edges;
+        stats.max_score = summary.max_score;
+        if (summary.positive_edges == 0) {
+          result_.reason = TerminationReason::kLocalMaximum;
+          return;
+        }
+        if (stop_requested(working_bytes, /*check_memory=*/false)) return;
+
+        phase = Phase::kMatch;
+        Matching<V> matching;
+        {
+          ScopedTimer t(stats.match_seconds);
+          obs::ScopedSpan span("match");
+          matching = match(span);
+          span.attr("pairs_matched", matching.num_pairs);
+          span.attr("sweeps", matching.sweeps);
+        }
+        stats.pairs_matched = matching.num_pairs;
+        stats.match_sweeps = matching.sweeps;
+        if (matching.num_pairs == 0) {
+          result_.reason = TerminationReason::kNoMatches;
+          return;
+        }
+        if (stop_requested(working_bytes, /*check_memory=*/false)) return;
+
+        phase = Phase::kContract;
+        std::vector<V> new_label;
+        {
+          ScopedTimer t(stats.contract_seconds);
+          obs::ScopedSpan span("contract");
+          new_label = contract(matching, span);
+          span.attr("nv_after", static_cast<std::int64_t>(g.nv));
+          span.attr("ne_after", static_cast<std::int64_t>(g.num_edges()));
+        }
+
+        // Bookkeeping: original-vertex map, dendrogram, quality.
+        phase = Phase::kDriver;
+        community_map_.compose(std::span<const V>(new_label), static_cast<std::int64_t>(g.nv));
+        if (opts_.track_hierarchy) result_.hierarchy.push_back(std::move(new_label));
+        stats.nv_after = static_cast<std::int64_t>(g.nv);
+        stats.ne_after = g.num_edges();
+        stats.coverage = partition_coverage(g);
+        stats.modularity = partition_modularity(g);
+
+        // Level-boundary resource probe: RSS high-water into the level
+        // span and the run gauge.  The /proc read only happens when a
+        // sink is installed.
+        if (level_span.active() || rss_gauge_ != nullptr) {
+          const std::int64_t rss = obs::rss_high_water_bytes();
+          if (rss_gauge_ != nullptr) rss_gauge_->record(rss);
+          level_span.attr("rss_hwm_bytes", rss);
+        }
+        level_span.attr("nv_after", stats.nv_after);
+        level_span.attr("coverage", stats.coverage);
+        level_span.attr("modularity", stats.modularity);
+      } catch (const std::exception& e) {
+        contain(error_from_exception(e, phase), stats, level_span);
+        return;
+      } catch (...) {
+        contain(Error{ErrorCode::kInternal, phase, "non-standard exception"}, stats, level_span);
+        return;
+      }
+
+      result_.levels.push_back(stats);
+      ++completed_levels_;
+      last_completed_level_ = level;
+      result_.num_communities = static_cast<std::int64_t>(g.nv);
+      result_.final_coverage = stats.coverage;
+      result_.final_modularity = stats.modularity;
+
+      if (stats.coverage >= opts_.min_coverage) {
+        result_.reason = TerminationReason::kCoverage;
+        return;
+      }
+      if (result_.num_communities <= opts_.min_communities) {
+        result_.reason = TerminationReason::kMinCommunities;
+        return;
+      }
+      if (budgeted_) {
+        if (auto violation = budget_.note_level(stats.nv_before, stats.nv_after)) {
+          degrade(std::move(*violation));
+          return;
+        }
+      }
+      at_boundary(level);
+    }
+  }
+
+  /// Flushes the map, stamps the run time and closing span attributes,
+  /// and hands the result over.
+  [[nodiscard]] Clustering<V> finish() {
+    flush();
+    result_.total_seconds = elapsed_seconds();
+    span_.attr("levels", static_cast<std::int64_t>(result_.levels.size()));
+    span_.attr("termination", to_string(result_.reason));
+    if (span_.active()) span_.attr("rss_hwm_bytes", obs::rss_high_water_bytes());
+    return std::move(result_);
+  }
+
+ private:
+  /// A budget or containment stop: the loop ends and the result keeps
+  /// the best clustering completed so far, tagged with the reason
+  /// (graceful degradation, never a crash).
+  void degrade(Error e) {
+    result_.reason = termination_for(e.code);
+    result_.error = std::move(e);
+  }
+
+  /// Keeps the failing level's partial telemetry: ScopedTimer
+  /// accumulated the failing phase's time during unwinding, and the
+  /// phases that did finish left their counts in `stats`.
+  void contain(Error e, const LevelStats& stats, obs::ScopedSpan& level_span) {
+    degrade(std::move(e));
+    result_.failed_level = stats;
+    level_span.set_error();
+  }
+
+  /// Stop checks at the level boundary and between phases: cooperative
+  /// interrupt first (a signal handler set the flag), then the budget.
+  /// Budgets engage after the grace levels; a resumed run's deadline
+  /// covers the whole logical run.  Returns whether the run stops.
+  template <typename Bytes>
+  [[nodiscard]] bool stop_requested(Bytes& working_bytes, bool check_memory) {
+    std::optional<Error> stop;
+    if (interrupt_requested()) {
+      stop = Error{ErrorCode::kInterrupted, Phase::kDriver, "interrupt requested (SIGINT/SIGTERM)"};
+    } else if (budgeted_) {
+      stop = budget_.check_deadline(completed_levels_);
+      if (!stop && check_memory) stop = budget_.check_memory(working_bytes(), completed_levels_);
+    }
+    if (!stop) return false;
+    degrade(std::move(*stop));
+    return true;
+  }
+
+  WallTimer timer_;
+  obs::ScopedSpan span_{"agglomerate"};
+  obs::Gauge* rss_gauge_ = obs::gauge("agglomerate.rss_hwm_bytes");
+  const AgglomerationOptions& opts_;
+  Clustering<V> result_;
+  LazyCommunityMap<V> community_map_;
+  BudgetTracker budget_;
+  const bool budgeted_ = opts_.budget.limited();
+  double base_elapsed_;
+  int completed_levels_;
+  int last_completed_level_ = 0;
+};
+
+/// The unsharded level loop, shared by fresh and resumed runs: the
+/// three phases over a CommunityGraph, plus what only this driver has —
+/// the size cap, recycled contraction buffers, and checkpoints at level
+/// boundaries.  `resume` seats the loop at a checkpoint's level
+/// boundary: `g` is the restored community graph and the maps/history/
+/// elapsed time come from the checkpoint (moved out of it).
 template <VertexId V, EdgeScorer S>
 [[nodiscard]] Clustering<V> agglomerate_impl(CommunityGraph<V> g, const S& scorer,
                                              const AgglomerationOptions& opts,
                                              CheckpointState<V>* resume) {
-  WallTimer total_timer;
-  obs::ScopedSpan run_span("agglomerate");
-  run_span.attr("nv", static_cast<std::int64_t>(g.nv));
-  run_span.attr("ne", static_cast<std::int64_t>(g.num_edges()));
-  run_span.attr("matcher", to_string(opts.matcher));
-  run_span.attr("contractor", to_string(opts.contractor));
-  obs::Gauge* rss_gauge = obs::gauge("agglomerate.rss_hwm_bytes");
-  Clustering<V> result;
+  Clustering<V> seed;
   const std::int64_t original_nv =
       resume != nullptr ? resume->original_nv : static_cast<std::int64_t>(g.nv);
+  const double base_elapsed = resume != nullptr ? resume->elapsed_seconds : 0.0;
   if (resume != nullptr) {
-    result.community = std::move(resume->community);
-    result.levels = std::move(resume->levels);
-    result.hierarchy = std::move(resume->hierarchy);
-  } else {
-    result.community.resize(static_cast<std::size_t>(original_nv));
-    std::iota(result.community.begin(), result.community.end(), V{0});
+    seed.community = std::move(resume->community);
+    seed.levels = std::move(resume->levels);
+    seed.hierarchy = std::move(resume->hierarchy);
   }
-  LazyCommunityMap<V> community_map(result.community, static_cast<std::int64_t>(g.nv));
-  result.num_communities = static_cast<std::int64_t>(g.nv);
-  result.final_modularity = detail::partition_modularity(g);
-  result.final_coverage = detail::partition_coverage(g);
+  LevelLoop<V> loop(g, opts, std::move(seed), base_elapsed);
+  loop.span().attr("matcher", to_string(opts.matcher));
+  loop.span().attr("contractor", to_string(opts.contractor));
+  Clustering<V>& result = loop.result();
 
   // Original-vertex counts per community, for the max-size constraint.
   std::vector<std::int64_t> vertex_count;
@@ -202,25 +437,9 @@ template <VertexId V, EdgeScorer S>
       vertex_count.assign(static_cast<std::size_t>(g.nv), 1);
   }
 
-  // Budget tracking: checked at level boundaries and between phases.
-  // On exhaustion — or a contained per-level failure — the loop stops
-  // and `result` keeps the best clustering completed so far, tagged
-  // with the degradation reason (graceful degradation, never a crash).
-  // A resumed run seats the tracker at the checkpoint's accumulated
-  // elapsed time, so budgets cover the whole logical run.
-  const double base_elapsed = resume != nullptr ? resume->elapsed_seconds : 0.0;
-  BudgetTracker budget(opts.budget, base_elapsed);
-  const bool budgeted = opts.budget.limited();
-  int completed_levels = static_cast<int>(result.levels.size());
-  const int start_level = resume != nullptr ? resume->next_level : 1;
-  int last_completed_level = start_level - 1;
-  const auto degrade = [&](Error e) {
-    result.reason = detail::termination_for(e.code);
-    result.error = std::move(e);
-  };
-
   // Checkpoint machinery.  Snapshot writes are contained: a failing
   // checkpoint is counted and the (healthy) run keeps going.
+  const int start_level = resume != nullptr ? resume->next_level : 1;
   const bool ckpt_enabled = opts.checkpoint.enabled();
   const std::uint64_t fingerprint =
       ckpt_enabled || resume != nullptr ? options_fingerprint(opts) : 0;
@@ -234,12 +453,12 @@ template <VertexId V, EdgeScorer S>
       prov.resumed_elapsed_seconds = base_elapsed;
     }
     result.checkpoint = std::move(prov);
-    run_span.attr("resumed", resume != nullptr ? 1 : 0);
+    loop.span().attr("resumed", resume != nullptr ? 1 : 0);
   }
   obs::Counter* ckpt_write_counter = ckpt_enabled ? obs::counter("checkpoint.writes") : nullptr;
   const auto save_checkpoint_now = [&](int next_level) -> bool {
     if (!ckpt_enabled) return false;
-    community_map.flush();
+    loop.flush();
     obs::ScopedSpan span("checkpoint");
     span.attr("next_level", next_level);
     try {
@@ -247,7 +466,7 @@ template <VertexId V, EdgeScorer S>
       view.config_fingerprint = fingerprint;
       view.original_nv = original_nv;
       view.next_level = next_level;
-      view.elapsed_seconds = base_elapsed + total_timer.seconds();
+      view.elapsed_seconds = loop.elapsed_seconds();
       view.graph = &g;
       view.community = &result.community;
       view.vertex_count = vertex_count.empty() ? nullptr : &vertex_count;
@@ -274,197 +493,51 @@ template <VertexId V, EdgeScorer S>
   // Contraction storage recycled across levels: each replaced graph
   // becomes the spare whose arrays the next contraction fills.
   ContractionBuffers<V> buffers;
-
-  // Stop checks shared by the level boundary and the between-phase
-  // points: cooperative interrupt first (a signal handler set the
-  // flag), then the budget.  The memory check counts the recycled
-  // storage along with the live graph.
-  const auto check_stop = [&](bool check_memory) -> std::optional<Error> {
-    if (interrupt_requested())
-      return Error{ErrorCode::kInterrupted, Phase::kDriver,
-                   "interrupt requested (SIGINT/SIGTERM)"};
-    if (!budgeted) return std::nullopt;
-    if (auto violation = budget.check_deadline(completed_levels)) return violation;
-    if (check_memory)
-      if (auto violation = budget.check_memory(
-              estimate_working_set_bytes(g) + buffers.retained_bytes(), completed_levels))
-        return violation;
-    return std::nullopt;
-  };
-
   std::vector<Score> scores;
-  for (int level = start_level;; ++level) {
-    if (opts.max_levels > 0 && level > opts.max_levels) {
-      result.reason = TerminationReason::kLevelCap;
-      break;
-    }
-    if (auto violation = check_stop(/*check_memory=*/true)) {
-      degrade(std::move(*violation));
-      break;
-    }
-
-    LevelStats stats;
-    stats.level = level;
-    stats.nv_before = static_cast<std::int64_t>(g.nv);
-    stats.ne_before = g.num_edges();
-
-    obs::ScopedSpan level_span("level");
-    level_span.attr("level", level);
-    level_span.attr("nv_before", stats.nv_before);
-    level_span.attr("ne_before", static_cast<std::int64_t>(stats.ne_before));
-
-    // The three phases run under containment: an exception raised inside
-    // any of them (already rethrown on this thread by the parallel
-    // wrappers) abandons the level, leaving `g` and the vertex maps in
-    // their last consistent state — score and match do not mutate them,
-    // and a contraction failure throws before `g` is replaced.
-    Phase phase = Phase::kScore;
-    bool contained = false;
-    try {
-      // Step 1: score.
-      ScoreSummary summary;
-      {
-        ScopedTimer t(stats.score_seconds);
-        obs::ScopedSpan span("score");
-        summary = score_edges(g, scorer, scores);
-        span.attr("positive_edges", static_cast<std::int64_t>(summary.positive_edges));
-        span.attr("max_score", summary.max_score);
+  loop.run(
+      g, start_level,
+      // The memory check counts the recycled storage with the live graph.
+      [&] { return estimate_working_set_bytes(g) + buffers.retained_bytes(); },
+      [&](obs::ScopedSpan&) {
+        const ScoreSummary summary = score_edges(g, scorer, scores);
         if (opts.max_community_size > 0) {
           // Disqualify merges that would exceed the size cap by zeroing
           // their scores before matching.
           parallel_for(g.num_edges(), [&](std::int64_t e) {
             const auto i = static_cast<std::size_t>(e);
             if (scores[i] <= 0.0) return;
-            const auto merged =
-                vertex_count[static_cast<std::size_t>(g.efirst[i])] +
-                vertex_count[static_cast<std::size_t>(g.esecond[i])];
+            const auto merged = vertex_count[static_cast<std::size_t>(g.efirst[i])] +
+                                vertex_count[static_cast<std::size_t>(g.esecond[i])];
             if (merged > opts.max_community_size) scores[i] = 0.0;
           });
         }
-      }
-      stats.positive_edges = summary.positive_edges;
-      stats.max_score = summary.max_score;
-      if (summary.positive_edges == 0) {
-        result.reason = TerminationReason::kLocalMaximum;
-        break;
-      }
-      if (auto violation = check_stop(/*check_memory=*/false)) {
-        degrade(std::move(*violation));
-        break;
-      }
-
-      // Step 2: match.
-      phase = Phase::kMatch;
-      Matching<V> matching;
-      {
-        ScopedTimer t(stats.match_seconds);
-        obs::ScopedSpan span("match");
-        matching = detail::run_matcher(opts.matcher, g, scores);
-        span.attr("pairs_matched", matching.num_pairs);
-        span.attr("sweeps", matching.sweeps);
-      }
-      stats.pairs_matched = matching.num_pairs;
-      stats.match_sweeps = matching.sweeps;
-      if (matching.num_pairs == 0) {
-        result.reason = TerminationReason::kNoMatches;
-        break;
-      }
-      if (auto violation = check_stop(/*check_memory=*/false)) {
-        degrade(std::move(*violation));
-        break;
-      }
-
-      // Step 3: contract.
-      phase = Phase::kContract;
-      std::vector<V> new_label;
-      {
-        ScopedTimer t(stats.contract_seconds);
-        obs::ScopedSpan span("contract");
+        return summary;
+      },
+      [&](obs::ScopedSpan&) { return detail::run_matcher(opts.matcher, g, scores); },
+      [&](const Matching<V>& matching, obs::ScopedSpan&) {
         auto contracted = detail::run_contractor(opts.contractor, g, matching, buffers);
         CommunityGraph<V> retired = std::exchange(g, std::move(contracted.graph));
         if (opts.contractor == ContractorKind::kBucketSort) buffers.spare = std::move(retired);
-        new_label = std::move(contracted.new_label);
-        span.attr("nv_after", static_cast<std::int64_t>(g.nv));
-        span.attr("ne_after", static_cast<std::int64_t>(g.num_edges()));
-      }
-
-      // Bookkeeping: original-vertex map, size counts, quality trajectory.
-      phase = Phase::kDriver;
-      community_map.compose(std::span<const V>(new_label), static_cast<std::int64_t>(g.nv));
-      if (opts.track_hierarchy) result.hierarchy.push_back(new_label);
-      if (opts.max_community_size > 0) {
-        std::vector<std::int64_t> new_count(static_cast<std::size_t>(g.nv), 0);
-        parallel_for(static_cast<std::int64_t>(new_label.size()), [&](std::int64_t v) {
-          std::atomic_ref<std::int64_t>(
-              new_count[static_cast<std::size_t>(new_label[static_cast<std::size_t>(v)])])
-              .fetch_add(vertex_count[static_cast<std::size_t>(v)],
-                         std::memory_order_relaxed);
-        });
-        vertex_count = std::move(new_count);
-      }
-
-      stats.nv_after = static_cast<std::int64_t>(g.nv);
-      stats.ne_after = g.num_edges();
-      stats.coverage = detail::partition_coverage(g);
-      stats.modularity = detail::partition_modularity(g);
-
-      // Level-boundary resource probe: RSS high-water into the level
-      // span and the run gauge.  The /proc read only happens when a
-      // sink is installed.
-      if (level_span.active() || rss_gauge != nullptr) {
-        const std::int64_t rss = obs::rss_high_water_bytes();
-        if (rss_gauge != nullptr) rss_gauge->record(rss);
-        level_span.attr("rss_hwm_bytes", rss);
-      }
-      level_span.attr("nv_after", stats.nv_after);
-      level_span.attr("coverage", stats.coverage);
-      level_span.attr("modularity", stats.modularity);
-    } catch (const std::exception& e) {
-      degrade(error_from_exception(e, phase));
-      contained = true;
-    } catch (...) {
-      degrade(Error{ErrorCode::kInternal, phase, "non-standard exception"});
-      contained = true;
-    }
-    if (contained) {
-      // Preserve the interrupted level's partial telemetry: ScopedTimer
-      // accumulated the failing phase's time during unwinding, and the
-      // phases that did finish left their counts in `stats`.
-      result.failed_level = stats;
-      level_span.set_error();
-      break;
-    }
-
-    result.levels.push_back(stats);
-    ++completed_levels;
-    last_completed_level = level;
-    result.num_communities = static_cast<std::int64_t>(g.nv);
-    result.final_coverage = stats.coverage;
-    result.final_modularity = stats.modularity;
-
-    if (stats.coverage >= opts.min_coverage) {
-      result.reason = TerminationReason::kCoverage;
-      break;
-    }
-    if (result.num_communities <= opts.min_communities) {
-      result.reason = TerminationReason::kMinCommunities;
-      break;
-    }
-    if (budgeted) {
-      if (auto violation = budget.note_level(stats.nv_before, stats.nv_after)) {
-        degrade(std::move(*violation));
-        break;
-      }
-    }
-
-    // Level boundary reached with the run still going: checkpoint on
-    // the configured cadence.
-    if (ckpt_enabled && opts.checkpoint.every_levels > 0 &&
-        completed_levels % opts.checkpoint.every_levels == 0)
-      (void)save_checkpoint_now(level + 1);
-  }
-
-  community_map.flush();
+        const auto& new_label = contracted.new_label;
+        if (opts.max_community_size > 0) {
+          std::vector<std::int64_t> new_count(static_cast<std::size_t>(g.nv), 0);
+          parallel_for(static_cast<std::int64_t>(new_label.size()), [&](std::int64_t v) {
+            std::atomic_ref<std::int64_t>(
+                new_count[static_cast<std::size_t>(new_label[static_cast<std::size_t>(v)])])
+                .fetch_add(vertex_count[static_cast<std::size_t>(v)],
+                           std::memory_order_relaxed);
+          });
+          vertex_count = std::move(new_count);
+        }
+        return std::move(contracted.new_label);
+      },
+      // Level boundary reached with the run still going: checkpoint on
+      // the configured cadence.
+      [&](int level) {
+        if (ckpt_enabled && opts.checkpoint.every_levels > 0 &&
+            loop.completed_levels() % opts.checkpoint.every_levels == 0)
+          (void)save_checkpoint_now(level + 1);
+      });
 
   // A degraded stop hands its state to the next invocation: one final
   // checkpoint at the last completed level boundary.  Budget and
@@ -472,16 +545,11 @@ template <VertexId V, EdgeScorer S>
   // resumable); a contained error keeps its diagnostic reason but is
   // checkpointed all the same.
   if (ckpt_enabled && opts.checkpoint.on_exhaustion && is_degraded(result.reason)) {
-    const bool saved = save_checkpoint_now(last_completed_level + 1);
+    const bool saved = save_checkpoint_now(loop.last_completed_level() + 1);
     if (saved && result.reason != TerminationReason::kContainedError)
       result.reason = TerminationReason::kCheckpointed;
   }
-
-  result.total_seconds = base_elapsed + total_timer.seconds();
-  run_span.attr("levels", static_cast<std::int64_t>(result.levels.size()));
-  run_span.attr("termination", to_string(result.reason));
-  if (run_span.active()) run_span.attr("rss_hwm_bytes", obs::rss_high_water_bytes());
-  return result;
+  return loop.finish();
 }
 
 }  // namespace detail

@@ -115,6 +115,20 @@ template <typename F>
   return h;
 }
 
+/// Scorers that reward every merge (heavy-edge, conductance) need an
+/// external stop: throws std::invalid_argument when none is set.
+inline void reject_unbounded_scorer(const DetectOptions& opts) {
+  const bool unbounded =
+      opts.scorer == ScorerKind::kHeavyEdge || opts.scorer == ScorerKind::kConductance;
+  if (unbounded && opts.agglomeration.min_coverage > 1.0 &&
+      opts.agglomeration.min_communities <= 1 && opts.agglomeration.max_levels == 0 &&
+      opts.agglomeration.max_community_size == 0) {
+    throw std::invalid_argument(
+        std::string(to_string(opts.scorer)) +
+        " scoring never reaches a local maximum; set a coverage/size/level limit");
+  }
+}
+
 /// The per-run option adjustments the facade applies before handing the
 /// AgglomerationOptions to the driver.
 [[nodiscard]] inline std::pair<AgglomerationOptions, DetectOptions::RefineMode>
@@ -168,16 +182,7 @@ void apply_refinement(const CommunityGraph<V>& g, Clustering<V>& result,
 template <VertexId V>
 [[nodiscard]] Clustering<V> detect_communities(const CommunityGraph<V>& g,
                                                const DetectOptions& opts = {}) {
-  // Scorers that reward every merge need an external stop.
-  const bool unbounded =
-      opts.scorer == ScorerKind::kHeavyEdge || opts.scorer == ScorerKind::kConductance;
-  if (unbounded && opts.agglomeration.min_coverage > 1.0 &&
-      opts.agglomeration.min_communities <= 1 && opts.agglomeration.max_levels == 0 &&
-      opts.agglomeration.max_community_size == 0) {
-    throw std::invalid_argument(
-        std::string(to_string(opts.scorer)) +
-        " scoring never reaches a local maximum; set a coverage/size/level limit");
-  }
+  detail::reject_unbounded_scorer(opts);
 
   const auto [agglomeration, mode] = detail::prepare_agglomeration(opts);
 
@@ -205,15 +210,7 @@ template <VertexId V>
 template <VertexId V>
 [[nodiscard]] Clustering<V> detect_communities_sharded(ShardedGraph<V> sg,
                                                        const DetectOptions& opts = {}) {
-  const bool unbounded =
-      opts.scorer == ScorerKind::kHeavyEdge || opts.scorer == ScorerKind::kConductance;
-  if (unbounded && opts.agglomeration.min_coverage > 1.0 &&
-      opts.agglomeration.min_communities <= 1 && opts.agglomeration.max_levels == 0 &&
-      opts.agglomeration.max_community_size == 0) {
-    throw std::invalid_argument(
-        std::string(to_string(opts.scorer)) +
-        " scoring never reaches a local maximum; set a coverage/size/level limit");
-  }
+  detail::reject_unbounded_scorer(opts);
 
   const auto [agglomeration, mode] = detail::prepare_agglomeration(opts);
 

@@ -263,26 +263,8 @@ class DynamicCommunities {
       Clustering<V> next = seeded_agglomerate(
           applied.graph, std::span<const V>(seeds), num_seeds, detect);
 
-      // Unseating discards the prior assignment's quality floor, and
-      // greedy re-climbing can land in a worse basin — especially when
-      // the halo dissolved most of the graph around frozen heavy
-      // survivors.  The prior labels are still a valid assignment for
-      // the updated graph (same vertex set), so commit whichever is
-      // better: a batch never leaves the clustering worse than having
-      // applied no re-agglomeration at all.
-      if (opts_.detect.scorer == ScorerKind::kModularity ||
-          opts_.detect.scorer == ScorerKind::kResolutionModularity) {
-        const auto prior = evaluate_partition(
-            applied.graph, std::span<const V>(clustering_.community.data(),
-                                              clustering_.community.size()));
-        if (prior.modularity > next.final_modularity) {
-          Clustering<V> kept = clustering_;
-          kept.final_modularity = prior.modularity;
-          kept.final_coverage = prior.coverage;
-          next = std::move(kept);
-          row.kept_prior = true;
-        }
-      }
+      row.kept_prior =
+          detail::keep_prior_if_better(applied.graph, clustering_, next, opts_.detect.scorer);
       row.recompute_seconds = recompute_timer.seconds();
 
       // Commit point: everything after this must not throw.

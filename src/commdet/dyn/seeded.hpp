@@ -13,6 +13,11 @@
 // Quality metrics are preserved by construction: contraction keeps
 // modularity/coverage of a labeling invariant, so the coarse result's
 // quality is the composed fine labeling's quality.
+//
+// The warm-start tail after the warm run — composing the coarse result
+// onto the base vertices and the kept-prior quality guard — is shared
+// by DynamicCommunities and the sharded ShardedCommunities, for either
+// graph type.
 #pragma once
 
 #include <algorithm>
@@ -148,37 +153,48 @@ template <VertexId V>
   return {std::move(labels), k};
 }
 
-/// Contracts `base` by the dense seed labeling into the warm community
-/// graph: every seed community becomes one vertex carrying its members'
-/// collapsed internal weight as a self-loop.  Thin alias over the
-/// hoisted label-keyed bucket-sort contraction (contract/
-/// label_contractor.hpp) — the same kernel aggregates parallel Louvain
-/// levels, so the warm-start path and the Louvain backend cannot drift
-/// apart.
-template <VertexId V>
-[[nodiscard]] CommunityGraph<V> build_seeded_graph(const CommunityGraph<V>& base,
-                                                   std::span<const V> seeds,
-                                                   std::int64_t num_seeds) {
-  return contract_by_labels(base, seeds, num_seeds);
+/// Modularity and coverage of a dense labeling (values in
+/// [0, num_labels)) over a CommunityGraph or a ShardedGraph: per-label
+/// volume and internal weight from the per-vertex state plus one edge
+/// sweep per range, then evaluate_partition's label-order reduction, so
+/// both values equal evaluate_partition's bit for bit.
+template <VertexState G, VertexId V>
+[[nodiscard]] std::pair<double, double> labeling_quality(G& g, std::span<const V> labels,
+                                                         std::int64_t num_labels) {
+  std::vector<Weight> internal(static_cast<std::size_t>(num_labels), 0);
+  std::vector<Weight> volume(static_cast<std::size_t>(num_labels), 0);
+  fold_vertex_state(g, labels, std::span<Weight>(internal), std::span<Weight>(volume));
+  // An empty bucket window: the label pass only folds intra-label edges.
+  for_each_edge_range(g, [&](const auto& edges) {
+    (void)count_label_range(edges, labels, V{0}, V{0}, std::span<EdgeId>{},
+                            std::span<Weight>(internal));
+  });
+  if (g.total_weight == 0) return {0.0, 1.0};
+  const auto w = static_cast<double>(g.total_weight);
+  double modularity = 0.0;
+  Weight inside = 0;
+  for (std::int64_t c = 0; c < num_labels; ++c) {
+    const auto i = static_cast<std::size_t>(c);
+    inside += internal[i];
+    const double vol = static_cast<double>(volume[i]) / (2.0 * w);
+    modularity += static_cast<double>(internal[i]) / w - vol * vol;
+  }
+  return {modularity, static_cast<double>(inside) / w};
 }
 
-/// Runs detection from the warm start and composes the coarse result
-/// back onto the original vertices.  The returned Clustering is over
-/// base's vertex space; level telemetry, termination, and quality come
-/// from the warm run (quality is contraction-invariant, so they are the
-/// composed labeling's values too).  The contraction dendrogram is not
-/// composed — dynamic results do not populate `hierarchy`.
-template <VertexId V>
-[[nodiscard]] Clustering<V> seeded_agglomerate(const CommunityGraph<V>& base,
-                                               std::span<const V> seeds,
-                                               std::int64_t num_seeds,
-                                               const DetectOptions& opts) {
-  const CommunityGraph<V> warm = build_seeded_graph(base, seeds, num_seeds);
-  Clustering<V> coarse = detect_communities(warm, opts);
+namespace detail {
 
+/// Composes a warm run's coarse result back onto the base vertices:
+/// base vertex v joins coarse community coarse.community[seeds[v]].
+/// Level telemetry, termination, and quality come from the warm run
+/// (quality is contraction-invariant, so they are the composed
+/// labeling's values too).  The contraction dendrogram is not composed —
+/// dynamic results do not populate `hierarchy`.
+template <VertexId V>
+[[nodiscard]] Clustering<V> compose_seeded(std::span<const V> seeds, Clustering<V> coarse) {
   Clustering<V> out;
-  out.community.resize(static_cast<std::size_t>(base.nv));
-  parallel_for(static_cast<std::int64_t>(base.nv), [&](std::int64_t v) {
+  out.community.resize(seeds.size());
+  parallel_for(static_cast<std::int64_t>(seeds.size()), [&](std::int64_t v) {
     const auto vi = static_cast<std::size_t>(v);
     out.community[vi] = coarse.community[static_cast<std::size_t>(seeds[vi])];
   });
@@ -191,6 +207,44 @@ template <VertexId V>
   out.total_seconds = coarse.total_seconds;
   out.levels = std::move(coarse.levels);
   return out;
+}
+
+/// The kept-prior guard of both dynamic facades (modularity-family
+/// scorers only).  Unseating discards the prior assignment's quality
+/// floor, and greedy re-climbing can land in a worse basin — especially
+/// when the halo dissolved most of the graph around frozen heavy
+/// survivors.  The prior labels are still a valid assignment for the
+/// updated graph `g` (same vertex set), so `next` becomes whichever
+/// scores higher: a batch never leaves the clustering worse than
+/// having applied no re-agglomeration at all.  Returns whether the
+/// prior labels won.
+template <VertexState G, VertexId V>
+bool keep_prior_if_better(G& g, const Clustering<V>& prior, Clustering<V>& next,
+                          ScorerKind scorer) {
+  if (scorer != ScorerKind::kModularity && scorer != ScorerKind::kResolutionModularity)
+    return false;
+  const auto [prior_q, prior_cov] =
+      labeling_quality(g, std::span<const V>(prior.community), prior.num_communities);
+  if (prior_q <= next.final_modularity) return false;
+  next = prior;
+  next.final_modularity = prior_q;
+  next.final_coverage = prior_cov;
+  return true;
+}
+
+}  // namespace detail
+
+/// Runs detection from the warm start — `base` contracted by the dense
+/// seed labeling, every seed community one vertex carrying its members'
+/// internal weight as a self-loop — and composes the coarse result back
+/// onto the original vertices (detail::compose_seeded).
+template <VertexId V>
+[[nodiscard]] Clustering<V> seeded_agglomerate(const CommunityGraph<V>& base,
+                                               std::span<const V> seeds,
+                                               std::int64_t num_seeds,
+                                               const DetectOptions& opts) {
+  const CommunityGraph<V> warm = contract_by_labels(base, seeds, num_seeds);
+  return detail::compose_seeded(seeds, detect_communities(warm, opts));
 }
 
 }  // namespace commdet

@@ -17,7 +17,10 @@
 // against its bucket by binary search and merges old bucket and deltas
 // in one parallel O(E + D log D) pass, preserving every builder
 // invariant (contiguous buckets in vertex order, sorted by second
-// endpoint, hashed placement, incremental volumes).
+// endpoint, hashed placement, incremental volumes).  The merge pass
+// takes one edge range (detail::merge_delta_range): apply_delta runs it
+// once over [0, nv) into a new graph, and the sharded apply_delta
+// (shard/sharded_graph.hpp) once per block, in place.
 #pragma once
 
 #include <algorithm>
@@ -124,20 +127,13 @@ struct DeltaApplied {
   std::vector<V> touched;
 };
 
-/// Applies a *normalized* delta span (see normalize_deltas: hashed
-/// endpoint order, sorted by (first, second), one op per edge) to `g`,
-/// returning the updated graph.  Throws std::invalid_argument on
-/// out-of-range endpoints or non-positive insert/reweight weights —
-/// sanitize first (robust/sanitize.hpp) when the batch is untrusted.
-/// Requires each bucket of `g` sorted by second endpoint, which
-/// build_community_graph guarantees and this function preserves.
-template <VertexId V>
-[[nodiscard]] DeltaApplied<V> apply_delta(const CommunityGraph<V>& g,
-                                          std::span<const EdgeDelta<V>> deltas) {
-  const V nv = g.nv;
-  const auto nvs = static_cast<std::size_t>(nv);
-  const auto nd = static_cast<std::int64_t>(deltas.size());
+namespace detail {
 
+/// Validation pass: throws std::invalid_argument on an out-of-range
+/// endpoint or a non-positive insert/reweight weight.
+template <VertexId V>
+void validate_deltas(std::span<const EdgeDelta<V>> deltas, V nv) {
+  const auto nd = static_cast<std::int64_t>(deltas.size());
   std::atomic<bool> bad_endpoint{false};
   std::atomic<bool> bad_weight{false};
   parallel_for(nd, [&](std::int64_t i) {
@@ -149,7 +145,6 @@ template <VertexId V>
   });
   if (bad_endpoint.load()) throw std::invalid_argument("delta endpoint out of range");
   if (bad_weight.load()) throw std::invalid_argument("delta weight must be positive");
-
 #ifndef NDEBUG
   // Normalization contract: strictly sorted by (first, second).
   for (std::int64_t i = 1; i < nd; ++i) {
@@ -157,209 +152,253 @@ template <VertexId V>
     const auto& b = deltas[static_cast<std::size_t>(i)];
     assert((a.u < b.u || (a.u == b.u && a.v < b.v)) && "deltas not normalized");
   }
-  // Parity-hashed placement invariant of the input buckets: each bucket
-  // sorted by second endpoint (binary-search classification needs it).
-  parallel_for(static_cast<std::int64_t>(nv), [&](std::int64_t v) {
-    const auto [b, e] = g.bucket(static_cast<V>(v));
-    assert(std::is_sorted(g.esecond.begin() + b, g.esecond.begin() + e) &&
-           "bucket not sorted by second endpoint");
-  });
 #endif
+}
 
-  DeltaApplied<V> out;
-  out.graph.nv = nv;
-  out.graph.self_weight = g.self_weight;
-  out.graph.volume = g.volume;
-  out.graph.total_weight = g.total_weight;
-  out.report.applied = nd;
-
-  std::vector<std::uint8_t> touched_flag(nvs, 0);
-
-  // Order-preserving split keeps the edge deltas sorted.
+/// Applies the self-loop deltas to the per-vertex state of `state` (a
+/// CommunityGraph or a ShardedGraph) and returns the edge deltas, still
+/// sorted.  Counts `applied` and the self-loop categories into `report`.
+template <VertexState G, VertexId V>
+[[nodiscard]] std::vector<EdgeDelta<V>> apply_self_loop_deltas(
+    G& state, std::span<const EdgeDelta<V>> deltas, std::span<std::uint8_t> touched,
+    DeltaApplyReport& report) {
+  report.applied = static_cast<std::int64_t>(deltas.size());
   const auto self_deltas = parallel_compact(
       deltas, [](const EdgeDelta<V>& d) { return d.u == d.v; });
-  const auto edge_deltas = parallel_compact(
-      deltas, [](const EdgeDelta<V>& d) { return d.u != d.v; });
-
-  // Self-loop deltas mutate the per-vertex self weight directly.
   for (const auto& d : self_deltas) {
     const auto vi = static_cast<std::size_t>(d.u);
-    const Weight old = out.graph.self_weight[vi];
+    const Weight old = state.self_weight[vi];
     Weight neww = old;
     switch (d.op) {
       case DeltaOp::kInsert: neww = old + d.w; break;
       case DeltaOp::kDelete: neww = 0; break;
       case DeltaOp::kReweight: neww = d.w; break;
     }
-    if (d.op == DeltaOp::kDelete && old == 0) ++out.report.missing_deletes;
-    ++out.report.self_loop_updates;
+    if (d.op == DeltaOp::kDelete && old == 0) ++report.missing_deletes;
+    ++report.self_loop_updates;
     const Weight dw = neww - old;
     if (dw == 0) continue;
-    out.graph.self_weight[vi] = neww;
-    out.graph.volume[vi] += 2 * dw;
-    out.graph.total_weight += dw;
-    touched_flag[vi] = 1;
-    ++out.report.effective;
+    state.self_weight[vi] = neww;
+    state.volume[vi] += 2 * dw;
+    state.total_weight += dw;
+    touched[vi] = 1;
+    ++report.effective;
   }
+  // Order-preserving split keeps the edge deltas sorted.
+  return parallel_compact(deltas, [](const EdgeDelta<V>& d) { return d.u != d.v; });
+}
 
-  // Classify each edge delta against its bucket.  Kinds: 0 = in-place
-  // weight change, 1 = create, 2 = remove, 3 = no-op.
-  const auto ned = static_cast<std::int64_t>(edge_deltas.size());
-  std::vector<std::uint8_t> kind(static_cast<std::size_t>(ned), 3);
-  std::vector<Weight> result_w(static_cast<std::size_t>(ned), 0);
-  std::vector<Weight> weight_dw(static_cast<std::size_t>(ned), 0);
-  parallel_for(ned, [&](std::int64_t i) {
-    const auto& d = edge_deltas[static_cast<std::size_t>(i)];
-    const auto [b, e] = g.bucket(d.u);
-    const auto* lo = g.esecond.data() + b;
-    const auto* hi = g.esecond.data() + e;
-    const auto* it = std::lower_bound(lo, hi, d.v);
-    const bool found = it != hi && *it == d.v;
-    const auto idx = static_cast<std::size_t>(b + (it - lo));
+/// The merge pass over one edge range: `in` holds the sorted buckets of
+/// vertices [lo, hi) (cursors indexed v - lo, so a CommunityGraph is the
+/// lo = 0 case), `deltas` the sorted edge deltas whose first endpoint
+/// lies in [lo, hi).  Classifies each delta against its bucket by binary
+/// search, merges every bucket with its delta run into `out`'s
+/// bucket_begin / bucket_end / efirst / esecond / eweight, and keeps
+/// `state`'s volumes and total weight, `touched` and `report` up to
+/// date.  Returns the number of edges written.
+template <typename In, typename Out, VertexState G, VertexId V>
+EdgeId merge_delta_range(const In& in, V lo, V hi, std::span<const EdgeDelta<V>> deltas,
+                         Out& out, G& state, std::span<std::uint8_t> touched,
+                         DeltaApplyReport& report) {
+  const auto nb = static_cast<std::int64_t>(hi - lo);
+  const auto nbs = static_cast<std::size_t>(nb);
+  const auto nd = static_cast<std::int64_t>(deltas.size());
+  const auto nds = static_cast<std::size_t>(nd);
+#ifndef NDEBUG
+  // Binary-search classification needs each bucket sorted by second
+  // endpoint.
+  parallel_for(nb, [&](std::int64_t v) {
+    const auto [b, e] = in.bucket(static_cast<V>(lo + v));
+    assert(std::is_sorted(in.esecond.begin() + b, in.esecond.begin() + e) &&
+           "bucket not sorted by second endpoint");
+  });
+#endif
+
+  // Kinds: 0 = in-place weight change, 1 = create, 2 = remove, 3 = no-op.
+  std::vector<std::uint8_t> kind(nds, 3);
+  std::vector<Weight> result_w(nds, 0);
+  std::vector<Weight> weight_dw(nds, 0);
+  parallel_for(nd, [&](std::int64_t i) {
+    const auto& d = deltas[static_cast<std::size_t>(i)];
+    const auto [b, e] = in.bucket(d.u);
+    const auto* blo = in.esecond.data() + b;
+    const auto* bhi = in.esecond.data() + e;
+    const auto* it = std::lower_bound(blo, bhi, d.v);
+    const bool found = it != bhi && *it == d.v;
+    const auto idx = static_cast<std::size_t>(b + (it - blo));
     const auto ii = static_cast<std::size_t>(i);
     switch (d.op) {
       case DeltaOp::kInsert:
         kind[ii] = found ? 0 : 1;
-        result_w[ii] = found ? g.eweight[idx] + d.w : d.w;
+        result_w[ii] = found ? in.eweight[idx] + d.w : d.w;
         weight_dw[ii] = d.w;
         break;
       case DeltaOp::kDelete:
         kind[ii] = found ? 2 : 3;
-        weight_dw[ii] = found ? -g.eweight[idx] : 0;
+        weight_dw[ii] = found ? -in.eweight[idx] : 0;
         break;
       case DeltaOp::kReweight:
-        if (found && g.eweight[idx] == d.w) {
+        if (found && in.eweight[idx] == d.w) {
           kind[ii] = 3;  // reweight to the current weight: nothing to do
         } else {
           kind[ii] = found ? 0 : 1;
           result_w[ii] = d.w;
-          weight_dw[ii] = found ? d.w - g.eweight[idx] : d.w;
+          weight_dw[ii] = found ? d.w - in.eweight[idx] : d.w;
         }
         break;
     }
   });
 
   const auto count_kind = [&](DeltaOp op, std::uint8_t k) {
-    return parallel_count(ned, [&](std::int64_t i) {
-      return edge_deltas[static_cast<std::size_t>(i)].op == op &&
+    return parallel_count(nd, [&](std::int64_t i) {
+      return deltas[static_cast<std::size_t>(i)].op == op &&
              kind[static_cast<std::size_t>(i)] == k;
     });
   };
-  out.report.inserted = count_kind(DeltaOp::kInsert, 1);
-  out.report.strengthened = count_kind(DeltaOp::kInsert, 0);
-  out.report.deleted = count_kind(DeltaOp::kDelete, 2);
-  out.report.missing_deletes += count_kind(DeltaOp::kDelete, 3);
-  out.report.reweighted = count_kind(DeltaOp::kReweight, 0);
-  out.report.upserts = count_kind(DeltaOp::kReweight, 1);
-  out.report.effective += parallel_count(ned, [&](std::int64_t i) {
+  report.inserted += count_kind(DeltaOp::kInsert, 1);
+  report.strengthened += count_kind(DeltaOp::kInsert, 0);
+  report.deleted += count_kind(DeltaOp::kDelete, 2);
+  report.missing_deletes += count_kind(DeltaOp::kDelete, 3);
+  report.reweighted += count_kind(DeltaOp::kReweight, 0);
+  report.upserts += count_kind(DeltaOp::kReweight, 1);
+  report.effective += parallel_count(nd, [&](std::int64_t i) {
     return kind[static_cast<std::size_t>(i)] != 3;
   });
 
   // New bucket sizes -> cursors, then one merge pass per bucket.
-  std::vector<EdgeId> grow(nvs, 0);
-  std::vector<EdgeId> shrink(nvs, 0);
-  parallel_for(ned, [&](std::int64_t i) {
+  std::vector<EdgeId> grow(nbs, 0);
+  std::vector<EdgeId> shrink(nbs, 0);
+  parallel_for(nd, [&](std::int64_t i) {
     const auto ii = static_cast<std::size_t>(i);
-    const auto f = static_cast<std::size_t>(edge_deltas[ii].u);
+    const auto f = static_cast<std::size_t>(deltas[ii].u - lo);
     if (kind[ii] == 1)
       std::atomic_ref<EdgeId>(grow[f]).fetch_add(1, std::memory_order_relaxed);
     else if (kind[ii] == 2)
       std::atomic_ref<EdgeId>(shrink[f]).fetch_add(1, std::memory_order_relaxed);
   });
-  std::vector<EdgeId> cursors(nvs + 1, 0);
-  parallel_for(static_cast<std::int64_t>(nv), [&](std::int64_t v) {
+  std::vector<EdgeId> cursors(nbs + 1, 0);
+  parallel_for(nb, [&](std::int64_t v) {
     const auto vi = static_cast<std::size_t>(v);
-    cursors[vi] = g.bucket_end[vi] - g.bucket_begin[vi] + grow[vi] - shrink[vi];
+    const auto [b, e] = in.bucket(static_cast<V>(lo + v));
+    cursors[vi] = e - b + grow[vi] - shrink[vi];
   });
   const EdgeId ne_new = exclusive_prefix_sum(std::span<EdgeId>(cursors));
-  out.graph.bucket_begin.assign(cursors.begin(), cursors.end() - 1);
-  out.graph.bucket_end.assign(nvs, 0);
-  parallel_for(static_cast<std::int64_t>(nv), [&](std::int64_t v) {
-    out.graph.bucket_end[static_cast<std::size_t>(v)] =
-        cursors[static_cast<std::size_t>(v) + 1];
+  out.bucket_begin.assign(cursors.begin(), cursors.end() - 1);
+  out.bucket_end.assign(nbs, 0);
+  parallel_for(nb, [&](std::int64_t v) {
+    out.bucket_end[static_cast<std::size_t>(v)] = cursors[static_cast<std::size_t>(v) + 1];
   });
-  out.graph.efirst.assign(static_cast<std::size_t>(ne_new), V{});
-  out.graph.esecond.assign(static_cast<std::size_t>(ne_new), V{});
-  out.graph.eweight.assign(static_cast<std::size_t>(ne_new), 0);
+  out.efirst.assign(static_cast<std::size_t>(ne_new), V{});
+  out.esecond.assign(static_cast<std::size_t>(ne_new), V{});
+  out.eweight.assign(static_cast<std::size_t>(ne_new), 0);
 
   // Per-bucket merge of the old sorted bucket with its delta run (both
   // sorted by second endpoint).  Buckets without deltas are plain copies.
-  parallel_for_dynamic(static_cast<std::int64_t>(nv), [&](std::int64_t v) {
-    const auto vv = static_cast<V>(v);
+  const auto cmp_first = [](const EdgeDelta<V>& d, V f) { return d.u < f; };
+  parallel_for_dynamic(nb, [&](std::int64_t v) {
+    const auto vv = static_cast<V>(lo + v);
     const auto vi = static_cast<std::size_t>(v);
-    EdgeId oi = g.bucket_begin[vi];
-    const EdgeId oe = g.bucket_end[vi];
-    // Delta run for this bucket (sorted edge deltas, binary search).
-    const auto cmp_first = [](const EdgeDelta<V>& d, V f) { return d.u < f; };
-    const auto* dlo = std::lower_bound(edge_deltas.data(), edge_deltas.data() + ned,
-                                       vv, cmp_first);
-    const auto* dhi = std::lower_bound(dlo, edge_deltas.data() + ned,
-                                       static_cast<V>(v + 1), cmp_first);
-    EdgeId w = out.graph.bucket_begin[vi];
+    auto [oi, oe] = in.bucket(vv);
+    const auto* dlo = std::lower_bound(deltas.data(), deltas.data() + nd, vv, cmp_first);
+    const auto* dhi =
+        std::lower_bound(dlo, deltas.data() + nd, static_cast<V>(vv + 1), cmp_first);
+    EdgeId w = out.bucket_begin[vi];
     const auto emit = [&](V second, Weight weight) {
       const auto wi = static_cast<std::size_t>(w++);
-      out.graph.efirst[wi] = vv;
-      out.graph.esecond[wi] = second;
-      out.graph.eweight[wi] = weight;
+      out.efirst[wi] = vv;
+      out.esecond[wi] = second;
+      out.eweight[wi] = weight;
     };
     auto di = dlo;
     const auto delta_index = [&](const EdgeDelta<V>* d) {
-      return static_cast<std::size_t>(d - edge_deltas.data());
+      return static_cast<std::size_t>(d - deltas.data());
     };
     while (di != dhi && kind[delta_index(di)] == 3) ++di;
     while (oi < oe || di != dhi) {
       if (di == dhi) {  // drain old edges
-        emit(g.esecond[static_cast<std::size_t>(oi)],
-             g.eweight[static_cast<std::size_t>(oi)]);
+        emit(in.esecond[static_cast<std::size_t>(oi)], in.eweight[static_cast<std::size_t>(oi)]);
         ++oi;
         continue;
       }
       const auto ki = delta_index(di);
-      if (oi == oe || di->v < g.esecond[static_cast<std::size_t>(oi)]) {
+      if (oi == oe || di->v < in.esecond[static_cast<std::size_t>(oi)]) {
         assert(kind[ki] == 1 && "create delta matched an existing edge");
         emit(di->v, result_w[ki]);
-      } else if (di->v == g.esecond[static_cast<std::size_t>(oi)]) {
+      } else if (di->v == in.esecond[static_cast<std::size_t>(oi)]) {
         if (kind[ki] == 0) emit(di->v, result_w[ki]);  // kind 2 drops the edge
         ++oi;
       } else {
-        emit(g.esecond[static_cast<std::size_t>(oi)],
-             g.eweight[static_cast<std::size_t>(oi)]);
+        emit(in.esecond[static_cast<std::size_t>(oi)], in.eweight[static_cast<std::size_t>(oi)]);
         ++oi;
         continue;  // delta not consumed yet
       }
       ++di;
       while (di != dhi && kind[delta_index(di)] == 3) ++di;
     }
-    assert(w == out.graph.bucket_end[vi] && "merged bucket size mismatch");
+    assert(w == out.bucket_end[vi] && "merged bucket size mismatch");
   });
 
-  // Incremental volume / total-weight maintenance from effective deltas.
-  parallel_for(ned, [&](std::int64_t i) {
+  // Incremental volume / total-weight maintenance from effective deltas
+  // (a remote endpoint's volume is in the shared per-vertex array).
+  parallel_for(nd, [&](std::int64_t i) {
     const auto ii = static_cast<std::size_t>(i);
     const Weight dw = weight_dw[ii];
     if (dw == 0) return;
-    const auto& d = edge_deltas[ii];
-    std::atomic_ref<Weight>(out.graph.volume[static_cast<std::size_t>(d.u)])
+    const auto& d = deltas[ii];
+    std::atomic_ref<Weight>(state.volume[static_cast<std::size_t>(d.u)])
         .fetch_add(dw, std::memory_order_relaxed);
-    std::atomic_ref<Weight>(out.graph.volume[static_cast<std::size_t>(d.v)])
+    std::atomic_ref<Weight>(state.volume[static_cast<std::size_t>(d.v)])
         .fetch_add(dw, std::memory_order_relaxed);
-    std::atomic_ref<std::uint8_t>(touched_flag[static_cast<std::size_t>(d.u)])
+    std::atomic_ref<std::uint8_t>(touched[static_cast<std::size_t>(d.u)])
         .store(1, std::memory_order_relaxed);
-    std::atomic_ref<std::uint8_t>(touched_flag[static_cast<std::size_t>(d.v)])
+    std::atomic_ref<std::uint8_t>(touched[static_cast<std::size_t>(d.v)])
         .store(1, std::memory_order_relaxed);
   });
-  out.graph.total_weight +=
-      parallel_sum<Weight>(ned, [&](std::int64_t i) {
-        return weight_dw[static_cast<std::size_t>(i)];
-      });
+  state.total_weight += parallel_sum<Weight>(nd, [&](std::int64_t i) {
+    return weight_dw[static_cast<std::size_t>(i)];
+  });
+  return ne_new;
+}
 
-  std::vector<V> ids(nvs);
-  parallel_for(static_cast<std::int64_t>(nv), [&](std::int64_t v) {
+/// The sorted vertices whose `touched` flag is set.
+template <VertexId V>
+[[nodiscard]] std::vector<V> touched_vertices(std::span<const std::uint8_t> touched) {
+  std::vector<V> ids(touched.size());
+  parallel_for(static_cast<std::int64_t>(ids.size()), [&](std::int64_t v) {
     ids[static_cast<std::size_t>(v)] = static_cast<V>(v);
   });
-  out.touched = parallel_compact(std::span<const V>(ids), [&](V v) {
-    return touched_flag[static_cast<std::size_t>(v)] != 0;
+  return parallel_compact(std::span<const V>(ids), [&](V v) {
+    return touched[static_cast<std::size_t>(v)] != 0;
   });
+}
+
+}  // namespace detail
+
+/// Applies a *normalized* delta span (see normalize_deltas: hashed
+/// endpoint order, sorted by (first, second), one op per edge) to `g`,
+/// returning the updated graph: validation, the self-loop deltas, then
+/// one merge pass over the graph's one edge range [0, nv).  Throws
+/// std::invalid_argument on out-of-range endpoints or non-positive
+/// insert/reweight weights — sanitize first (robust/sanitize.hpp) when
+/// the batch is untrusted.  Requires each bucket of `g` sorted by second
+/// endpoint, which build_community_graph guarantees and this function
+/// preserves.
+template <VertexId V>
+[[nodiscard]] DeltaApplied<V> apply_delta(const CommunityGraph<V>& g,
+                                          std::span<const EdgeDelta<V>> deltas) {
+  detail::validate_deltas(deltas, g.nv);
+  DeltaApplied<V> out;
+  out.graph.nv = g.nv;
+  out.graph.self_weight = g.self_weight;
+  out.graph.volume = g.volume;
+  out.graph.total_weight = g.total_weight;
+  std::vector<std::uint8_t> touched(static_cast<std::size_t>(g.nv), 0);
+  const auto edge_deltas = detail::apply_self_loop_deltas(
+      out.graph, deltas, std::span<std::uint8_t>(touched), out.report);
+  (void)detail::merge_delta_range(g, V{0}, g.nv, std::span<const EdgeDelta<V>>(edge_deltas),
+                                  out.graph, out.graph, std::span<std::uint8_t>(touched),
+                                  out.report);
+  out.touched = detail::touched_vertices<V>(touched);
   return out;
 }
 

@@ -27,11 +27,17 @@
 // per-vertex arrays plus ONE resident block.  Blocks are immutable
 // during detection, so a clean release is a pure memory free (the disk
 // copy stays valid); only delta application rewrites the spill file.
+//
+// What this file adds to the unsharded graph code is block leasing,
+// routing (ownership cuts, the builder's per-shard staging, the
+// per-block delta slices) and the in-place delta application that
+// out-of-core storage needs; the build, partition and delta passes
+// themselves are graph/builder.hpp's and contract/label_contractor.hpp's
+// range kernels.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -49,7 +55,6 @@
 #include "commdet/graph/edge_list.hpp"
 #include "commdet/io/snapshot.hpp"
 #include "commdet/obs/metrics.hpp"
-#include "commdet/util/compact.hpp"
 #include "commdet/util/parallel.hpp"
 #include "commdet/util/prefix_sum.hpp"
 #include "commdet/util/types.hpp"
@@ -486,7 +491,6 @@ class ShardedGraphBuilder {
     graph_.volume.assign(static_cast<std::size_t>(nv_), 0);
     stage_.assign(static_cast<std::size_t>(k_), Stage{});
     parts_.assign(static_cast<std::size_t>(k_), {});
-    cuts_ = cuts;
     ranged_ = true;
   }
 
@@ -500,7 +504,7 @@ class ShardedGraphBuilder {
         continue;
       }
       const auto [f, s] = hashed_edge_order(e.u, e.v);
-      const int owner = owner_of(f);
+      const int owner = graph_.owner_of(f);
       auto& st = stage_[static_cast<std::size_t>(owner)];
       st.efirst.push_back(f);
       st.esecond.push_back(s);
@@ -536,17 +540,6 @@ class ShardedGraphBuilder {
       return static_cast<EdgeId>(efirst.size());
     }
   };
-
-  [[nodiscard]] int owner_of(V f) const noexcept {
-    int lo = 0;
-    int hi = k_ - 1;
-    while (lo < hi) {
-      const int mid = (lo + hi + 1) / 2;
-      if (cuts_[static_cast<std::size_t>(mid)] <= f) lo = mid;
-      else hi = mid - 1;
-    }
-    return lo;
-  }
 
   void flush_stage(int s) {
     auto& st = stage_[static_cast<std::size_t>(s)];
@@ -614,255 +607,59 @@ class ShardedGraphBuilder {
   ShardedGraph<V> graph_;
   std::vector<EdgeId> counts_;
   std::vector<EdgeId> cum_;
-  std::vector<V> cuts_;
   std::vector<Stage> stage_;
   std::vector<std::vector<std::string>> parts_;
 };
 
-/// Sharded counterpart of graph/builder.hpp's apply_delta: the same
-/// normalized span, classified and merged SHARD-LOCALLY.  Each delta's
-/// hashed-first endpoint names its owning shard, and normalization sorts
-/// by that endpoint, so a shard's work is one contiguous subrange —
-/// exactly the routing a multi-node port would ship.  Mutates the graph
-/// in place (blocks are leased, merged, and marked dirty so the next
-/// release rewrites their spill file); per-vertex volume updates for
-/// remote endpoints go to the shared arrays.  Category counts and the
-/// touched set match the unsharded oracle exactly.
+/// Category counts and touched set of a sharded apply_delta; both equal
+/// the unsharded apply_delta's on the same batch.
 template <VertexId V>
 struct ShardedDeltaApplied {
   DeltaApplyReport report;
   std::vector<V> touched;
 };
 
+/// Sharded apply_delta: the unsharded kernel's validation, self-loop
+/// and merge passes, with the merge run once per block over that
+/// block's slice of the normalized span.  Normalization sorts by the
+/// hashed-first endpoint, which names the owning shard, so each slice is
+/// contiguous — the routing a multi-node port would ship.  Mutates the
+/// graph IN PLACE (an out-of-core graph has no room for a second copy):
+/// each block with deltas is leased, its merged arrays swapped in, and
+/// marked dirty so the next release rewrites its spill file.
 template <VertexId V>
 [[nodiscard]] ShardedDeltaApplied<V> apply_delta(ShardedGraph<V>& sg,
                                                  std::span<const EdgeDelta<V>> deltas) {
-  const V nv = sg.nv;
-  const auto nvs = static_cast<std::size_t>(nv);
-  const auto nd = static_cast<std::int64_t>(deltas.size());
-
-  std::atomic<bool> bad_endpoint{false};
-  std::atomic<bool> bad_weight{false};
-  parallel_for(nd, [&](std::int64_t i) {
-    const auto& d = deltas[static_cast<std::size_t>(i)];
-    if (d.u < 0 || d.u >= nv || d.v < 0 || d.v >= nv)
-      bad_endpoint.store(true, std::memory_order_relaxed);
-    if (d.op != DeltaOp::kDelete && d.w <= 0)
-      bad_weight.store(true, std::memory_order_relaxed);
-  });
-  if (bad_endpoint.load()) throw std::invalid_argument("delta endpoint out of range");
-  if (bad_weight.load()) throw std::invalid_argument("delta weight must be positive");
-
+  detail::validate_deltas(deltas, sg.nv);
   ShardedDeltaApplied<V> out;
-  out.report.applied = nd;
-  std::vector<std::uint8_t> touched_flag(nvs, 0);
-
-  const auto self_deltas =
-      parallel_compact(deltas, [](const EdgeDelta<V>& d) { return d.u == d.v; });
+  std::vector<std::uint8_t> touched(static_cast<std::size_t>(sg.nv), 0);
   const auto edge_deltas =
-      parallel_compact(deltas, [](const EdgeDelta<V>& d) { return d.u != d.v; });
-
-  // Self-loop deltas: per-vertex state, owner-indexed global arrays.
-  for (const auto& d : self_deltas) {
-    const auto vi = static_cast<std::size_t>(d.u);
-    const Weight old = sg.self_weight[vi];
-    Weight neww = old;
-    switch (d.op) {
-      case DeltaOp::kInsert: neww = old + d.w; break;
-      case DeltaOp::kDelete: neww = 0; break;
-      case DeltaOp::kReweight: neww = d.w; break;
-    }
-    if (d.op == DeltaOp::kDelete && old == 0) ++out.report.missing_deletes;
-    ++out.report.self_loop_updates;
-    const Weight dw = neww - old;
-    if (dw == 0) continue;
-    sg.self_weight[vi] = neww;
-    sg.volume[vi] += 2 * dw;
-    sg.total_weight += dw;
-    touched_flag[vi] = 1;
-    ++out.report.effective;
-  }
-
-  // Edge deltas: normalized order is (hashed-first, second), so each
-  // shard's slice is contiguous.  Every shard merges independently.
-  const auto ned = static_cast<std::int64_t>(edge_deltas.size());
+      detail::apply_self_loop_deltas(sg, deltas, std::span<std::uint8_t>(touched), out.report);
   const auto cmp_first = [](const EdgeDelta<V>& d, V f) { return d.u < f; };
   for (int s = 0; s < sg.num_shards(); ++s) {
-    const V range_lo = sg.shards[static_cast<std::size_t>(s)].lo;
-    const V range_hi = sg.shards[static_cast<std::size_t>(s)].hi;
-    const auto* dbegin = std::lower_bound(edge_deltas.data(), edge_deltas.data() + ned,
-                                          range_lo, cmp_first);
-    const auto* dend = std::lower_bound(dbegin, edge_deltas.data() + ned, range_hi, cmp_first);
-    const auto slice = std::span<const EdgeDelta<V>>(dbegin, dend);
-    if (slice.empty()) continue;
+    const auto& range = sg.shards[static_cast<std::size_t>(s)];
+    const auto* begin =
+        std::lower_bound(edge_deltas.data(), edge_deltas.data() + edge_deltas.size(), range.lo,
+                         cmp_first);
+    const auto* end = std::lower_bound(begin, edge_deltas.data() + edge_deltas.size(),
+                                       range.hi, cmp_first);
+    if (begin == end) continue;
 
     BlockLease<V> lease(sg, s);
     auto& b = lease.block();
-    const auto ns = static_cast<std::int64_t>(slice.size());
-
-    // Classify against the block's sorted buckets.  Kinds: 0 = in-place
-    // weight change, 1 = create, 2 = remove, 3 = no-op.
-    std::vector<std::uint8_t> kind(static_cast<std::size_t>(ns), 3);
-    std::vector<Weight> result_w(static_cast<std::size_t>(ns), 0);
-    std::vector<Weight> weight_dw(static_cast<std::size_t>(ns), 0);
-    parallel_for(ns, [&](std::int64_t i) {
-      const auto& d = slice[static_cast<std::size_t>(i)];
-      const auto [bb, be] = b.bucket(d.u);
-      const auto* blo = b.esecond.data() + bb;
-      const auto* bhi = b.esecond.data() + be;
-      const auto* it = std::lower_bound(blo, bhi, d.v);
-      const bool found = it != bhi && *it == d.v;
-      const auto idx = static_cast<std::size_t>(bb + (it - blo));
-      const auto ii = static_cast<std::size_t>(i);
-      switch (d.op) {
-        case DeltaOp::kInsert:
-          kind[ii] = found ? 0 : 1;
-          result_w[ii] = found ? b.eweight[idx] + d.w : d.w;
-          weight_dw[ii] = d.w;
-          break;
-        case DeltaOp::kDelete:
-          kind[ii] = found ? 2 : 3;
-          weight_dw[ii] = found ? -b.eweight[idx] : 0;
-          break;
-        case DeltaOp::kReweight:
-          if (found && b.eweight[idx] == d.w) {
-            kind[ii] = 3;
-          } else {
-            kind[ii] = found ? 0 : 1;
-            result_w[ii] = d.w;
-            weight_dw[ii] = found ? d.w - b.eweight[idx] : d.w;
-          }
-          break;
-      }
-    });
-
-    const auto count_kind = [&](DeltaOp op, std::uint8_t kk) {
-      return parallel_count(ns, [&](std::int64_t i) {
-        return slice[static_cast<std::size_t>(i)].op == op &&
-               kind[static_cast<std::size_t>(i)] == kk;
-      });
-    };
-    out.report.inserted += count_kind(DeltaOp::kInsert, 1);
-    out.report.strengthened += count_kind(DeltaOp::kInsert, 0);
-    out.report.deleted += count_kind(DeltaOp::kDelete, 2);
-    out.report.missing_deletes += count_kind(DeltaOp::kDelete, 3);
-    out.report.reweighted += count_kind(DeltaOp::kReweight, 0);
-    out.report.upserts += count_kind(DeltaOp::kReweight, 1);
-    out.report.effective += parallel_count(ns, [&](std::int64_t i) {
-      return kind[static_cast<std::size_t>(i)] != 3;
-    });
-
-    // New local bucket sizes -> cursors, then one merge pass per bucket.
-    const auto owned = static_cast<std::int64_t>(range_hi - range_lo);
-    std::vector<EdgeId> grow(static_cast<std::size_t>(owned), 0);
-    std::vector<EdgeId> shrink(static_cast<std::size_t>(owned), 0);
-    parallel_for(ns, [&](std::int64_t i) {
-      const auto ii = static_cast<std::size_t>(i);
-      const auto f = static_cast<std::size_t>(slice[ii].u - range_lo);
-      if (kind[ii] == 1)
-        std::atomic_ref<EdgeId>(grow[f]).fetch_add(1, std::memory_order_relaxed);
-      else if (kind[ii] == 2)
-        std::atomic_ref<EdgeId>(shrink[f]).fetch_add(1, std::memory_order_relaxed);
-    });
-    std::vector<EdgeId> cursors(static_cast<std::size_t>(owned) + 1, 0);
-    parallel_for(owned, [&](std::int64_t v) {
-      const auto vi = static_cast<std::size_t>(v);
-      cursors[vi] = b.bucket_end[vi] - b.bucket_begin[vi] + grow[vi] - shrink[vi];
-    });
-    const EdgeId ne_new = exclusive_prefix_sum(std::span<EdgeId>(cursors));
-
-    std::vector<EdgeId> new_begin(cursors.begin(), cursors.end() - 1);
-    std::vector<EdgeId> new_end(static_cast<std::size_t>(owned), 0);
-    parallel_for(owned, [&](std::int64_t v) {
-      new_end[static_cast<std::size_t>(v)] = cursors[static_cast<std::size_t>(v) + 1];
-    });
-    std::vector<V> new_first(static_cast<std::size_t>(ne_new), V{});
-    std::vector<V> new_second(static_cast<std::size_t>(ne_new), V{});
-    std::vector<Weight> new_weight(static_cast<std::size_t>(ne_new), 0);
-
-    parallel_for_dynamic(owned, [&](std::int64_t v) {
-      const auto vv = static_cast<V>(range_lo + static_cast<V>(v));
-      const auto vi = static_cast<std::size_t>(v);
-      EdgeId oi = b.bucket_begin[vi];
-      const EdgeId oe = b.bucket_end[vi];
-      const auto* dlo = std::lower_bound(slice.data(), slice.data() + ns, vv, cmp_first);
-      const auto* dhi =
-          std::lower_bound(dlo, slice.data() + ns, static_cast<V>(vv + 1), cmp_first);
-      EdgeId w = new_begin[vi];
-      const auto emit = [&](V second, Weight weight) {
-        const auto wi = static_cast<std::size_t>(w++);
-        new_first[wi] = vv;
-        new_second[wi] = second;
-        new_weight[wi] = weight;
-      };
-      auto di = dlo;
-      const auto delta_index = [&](const EdgeDelta<V>* d) {
-        return static_cast<std::size_t>(d - slice.data());
-      };
-      while (di != dhi && kind[delta_index(di)] == 3) ++di;
-      while (oi < oe || di != dhi) {
-        if (di == dhi) {
-          emit(b.esecond[static_cast<std::size_t>(oi)],
-               b.eweight[static_cast<std::size_t>(oi)]);
-          ++oi;
-          continue;
-        }
-        const auto ki = delta_index(di);
-        if (oi == oe || di->v < b.esecond[static_cast<std::size_t>(oi)]) {
-          assert(kind[ki] == 1 && "create delta matched an existing edge");
-          emit(di->v, result_w[ki]);
-        } else if (di->v == b.esecond[static_cast<std::size_t>(oi)]) {
-          if (kind[ki] == 0) emit(di->v, result_w[ki]);  // kind 2 drops the edge
-          ++oi;
-        } else {
-          emit(b.esecond[static_cast<std::size_t>(oi)],
-               b.eweight[static_cast<std::size_t>(oi)]);
-          ++oi;
-          continue;
-        }
-        ++di;
-        while (di != dhi && kind[delta_index(di)] == 3) ++di;
-      }
-      assert(w == new_end[vi] && "merged bucket size mismatch");
-    });
-
-    b.bucket_begin = std::move(new_begin);
-    b.bucket_end = std::move(new_end);
-    b.efirst = std::move(new_first);
-    b.esecond = std::move(new_second);
-    b.eweight = std::move(new_weight);
-    b.ne = ne_new;
+    ShardBlock<V> merged;
+    b.ne = detail::merge_delta_range(b, b.lo, b.hi, std::span<const EdgeDelta<V>>(begin, end),
+                                     merged, sg, std::span<std::uint8_t>(touched), out.report);
+    b.bucket_begin.swap(merged.bucket_begin);
+    b.bucket_end.swap(merged.bucket_end);
+    b.efirst.swap(merged.efirst);
+    b.esecond.swap(merged.esecond);
+    b.eweight.swap(merged.eweight);
     b.refresh_ghosts();
     b.spilled_valid = false;
-
-    // Incremental volume / total-weight / touched maintenance.
-    parallel_for(ns, [&](std::int64_t i) {
-      const auto ii = static_cast<std::size_t>(i);
-      const Weight dw = weight_dw[ii];
-      if (dw == 0) return;
-      const auto& d = slice[ii];
-      std::atomic_ref<Weight>(sg.volume[static_cast<std::size_t>(d.u)])
-          .fetch_add(dw, std::memory_order_relaxed);
-      std::atomic_ref<Weight>(sg.volume[static_cast<std::size_t>(d.v)])
-          .fetch_add(dw, std::memory_order_relaxed);
-      std::atomic_ref<std::uint8_t>(touched_flag[static_cast<std::size_t>(d.u)])
-          .store(1, std::memory_order_relaxed);
-      std::atomic_ref<std::uint8_t>(touched_flag[static_cast<std::size_t>(d.v)])
-          .store(1, std::memory_order_relaxed);
-    });
-    sg.total_weight += parallel_sum<Weight>(ns, [&](std::int64_t i) {
-      return weight_dw[static_cast<std::size_t>(i)];
-    });
     lease.close();
   }
-
-  std::vector<V> ids(nvs);
-  parallel_for(static_cast<std::int64_t>(nv), [&](std::int64_t v) {
-    ids[static_cast<std::size_t>(v)] = static_cast<V>(v);
-  });
-  out.touched = parallel_compact(std::span<const V>(ids), [&](V v) {
-    return touched_flag[static_cast<std::size_t>(v)] != 0;
-  });
+  out.touched = detail::touched_vertices<V>(touched);
   return out;
 }
 

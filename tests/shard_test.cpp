@@ -153,15 +153,22 @@ TEST(ShardPartition, CutEdgeWeightCountedOnce) {
     EXPECT_EQ(vol, g.volume);
 
     // Modularity over the sharded arrays equals the unsharded value
-    // bit for bit (same expression over the same doubles).
+    // bit for bit (same expression over the same doubles), for
+    // singletons and for a few large classes (the chunk-private fold).
     std::vector<V32> singletons(static_cast<std::size_t>(g.nv));
     std::iota(singletons.begin(), singletons.end(), 0);
-    const auto oracle = evaluate_partition(
-        g, std::span<const V32>(singletons.data(), singletons.size()));
-    const auto [q, cov] = sharded_labeling_quality(
-        sg, std::span<const V32>(singletons.data(), singletons.size()), g.nv);
-    EXPECT_DOUBLE_EQ(q, oracle.modularity);
-    EXPECT_DOUBLE_EQ(cov, oracle.coverage);
+    std::vector<V32> classes(static_cast<std::size_t>(g.nv));
+    for (std::size_t v = 0; v < classes.size(); ++v) classes[v] = static_cast<V32>(v % 7);
+    for (const auto& [labels, num_labels] : {std::pair{singletons, std::int64_t{g.nv}},
+                                             std::pair{classes, std::int64_t{7}}}) {
+      const auto oracle = evaluate_partition(g, std::span<const V32>(labels));
+      const auto [q, cov] = labeling_quality(sg, std::span<const V32>(labels), num_labels);
+      EXPECT_DOUBLE_EQ(q, oracle.modularity) << "K=" << k << " labels=" << num_labels;
+      EXPECT_DOUBLE_EQ(cov, oracle.coverage) << "K=" << k << " labels=" << num_labels;
+      const auto [uq, ucov] = labeling_quality(g, std::span<const V32>(labels), num_labels);
+      EXPECT_DOUBLE_EQ(uq, oracle.modularity) << "labels=" << num_labels;
+      EXPECT_DOUBLE_EQ(ucov, oracle.coverage) << "labels=" << num_labels;
+    }
   }
 }
 
@@ -528,6 +535,70 @@ TEST(ShardDetect, RejectsUnsupportedOptions) {
                std::invalid_argument);
 }
 
+// Every stop the sharded driver shares with the unsharded one ends the
+// same way: same reason, level count, labels and dendrogram as the
+// unsharded edge-sweep run, at K=1 and K=3.
+TEST(ShardDetect, TerminationParityWithUnsharded) {
+  struct Case {
+    const char* name;
+    bool star;
+    AgglomerationOptions agglomeration;
+    TerminationReason expect;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"level cap", false, {}, TerminationReason::kLevelCap});
+  cases.back().agglomeration.max_levels = 3;
+  cases.push_back({"min communities", false, {}, TerminationReason::kMinCommunities});
+  cases.back().agglomeration.min_communities = 400;
+  cases.push_back({"local maximum", false, {}, TerminationReason::kLocalMaximum});
+  cases.push_back({"stalled star", true, {}, TerminationReason::kStalled});
+  cases.back().agglomeration.budget.max_stalled_levels = 3;
+  cases.push_back({"hierarchy", false, {}, TerminationReason::kCoverage});
+  cases.back().agglomeration.min_coverage = 0.3;
+  cases.back().agglomeration.track_hierarchy = true;
+
+  const auto rmat = rmat_graph(11);
+  const auto star = build_community_graph(make_star<V32>(300));
+  for (const auto& c : cases) {
+    const auto& g = c.star ? star : rmat;
+    DetectOptions opts;
+    opts.agglomeration = c.agglomeration;
+    opts.agglomeration.matcher = MatcherKind::kEdgeSweep;
+    const auto ref = detect_communities(g, opts);
+    ASSERT_EQ(ref.reason, c.expect) << c.name;
+    for (int k : {1, 3}) {
+      const auto r = detect_communities_sharded(partition_graph(g, k), opts);
+      EXPECT_EQ(r.reason, ref.reason) << c.name << " K=" << k;
+      EXPECT_EQ(r.num_levels(), ref.num_levels()) << c.name << " K=" << k;
+      EXPECT_EQ(r.num_communities, ref.num_communities) << c.name << " K=" << k;
+      EXPECT_EQ(r.community, ref.community) << c.name << " K=" << k;
+      EXPECT_EQ(r.hierarchy, ref.hierarchy) << c.name << " K=" << k;
+      EXPECT_EQ(r.error.has_value(), ref.error.has_value()) << c.name << " K=" << k;
+    }
+  }
+
+  // A memory ceiling nothing fits under stops after the grace levels
+  // with the best clustering so far: dense, valid labels.
+  DetectOptions tiny;
+  tiny.agglomeration.budget.max_memory_bytes = 1;
+  tiny.agglomeration.budget.grace_levels = 2;
+  for (int k : {1, 3}) {
+    const auto r = detect_communities_sharded(partition_graph(rmat, k), tiny);
+    EXPECT_EQ(r.reason, TerminationReason::kMemoryBudget) << "K=" << k;
+    ASSERT_TRUE(r.error.has_value());
+    EXPECT_EQ(r.error->code, ErrorCode::kMemoryBudget);
+    EXPECT_EQ(r.num_levels(), 2);
+    ASSERT_EQ(static_cast<std::int64_t>(r.community.size()), rmat.nv);
+    std::vector<char> used(static_cast<std::size_t>(r.num_communities), 0);
+    for (const V32 c : r.community) {
+      ASSERT_GE(c, 0);
+      ASSERT_LT(c, r.num_communities);
+      used[static_cast<std::size_t>(c)] = 1;
+    }
+    EXPECT_EQ(std::count(used.begin(), used.end(), 1), r.num_communities);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Plan wiring
 
@@ -558,32 +629,66 @@ TEST(ShardPlan, FromNameAndDispatch) {
 // Delta routing (dyn/ deltas stay shard-local)
 
 TEST(ShardDelta, RoutingMatchesUnsharded) {
-  const auto g = rmat_graph(10);
+  // A base graph with some self-loops, so self-loop deltas can hit
+  // present and absent loops alike.
+  DeltaBatch<V32> loops;
+  for (V32 v = 0; v < 40; v += 2) loops.insert(v, v, 3);
+  const auto g = apply_delta(rmat_graph(10), loops).graph;
+
   DeltaBatch<V32> batch;
   for (int i = 0; i < 300; ++i)
     batch.insert(static_cast<V32>((i * 37) % g.nv), static_cast<V32>((i * 53 + 1) % g.nv),
                  1 + i % 3);
   for (int i = 0; i < 80; ++i)
     batch.erase(static_cast<V32>((i * 11) % g.nv), static_cast<V32>((i * 13 + 2) % g.nv));
+  // Reweights of mostly absent edges (upserts), and of present edges to
+  // a new weight and to their current weight (a no-op).
   for (int i = 0; i < 40; ++i)
     batch.reweight(static_cast<V32>((i * 7) % g.nv), static_cast<V32>((i * 29 + 3) % g.nv),
                    5);
+  for (EdgeId e = 0; e < g.num_edges(); e += 97) {
+    const auto i = static_cast<std::size_t>(e);
+    batch.reweight(g.efirst[i], g.esecond[i], e % 2 == 0 ? g.eweight[i] : g.eweight[i] + 4);
+  }
+  // Self-loop deltas: insert onto a present and an absent loop, delete
+  // a present and an absent one, reweight a present loop to a new and
+  // to its current weight, and an absent one (an upsert).
+  std::vector<V32> absent;
+  for (V32 v = 1; absent.size() < 3; v += 2)
+    if (g.self_weight[static_cast<std::size_t>(v)] == 0) absent.push_back(v);
+  batch.insert(0, 0, 2);
+  batch.insert(absent[0], absent[0], 2);
+  batch.erase(2, 2);
+  batch.erase(absent[1], absent[1]);
+  batch.reweight(4, 4, 7);
+  batch.reweight(6, 6, g.self_weight[6]);
+  batch.reweight(absent[2], absent[2], 1);
   const auto normalized = normalize_deltas(batch);
 
-  CommunityGraph<V32> oracle_graph(g);
-  const auto oracle =
-      apply_delta(oracle_graph, std::span<const EdgeDelta<V32>>(normalized));
+  const auto oracle = apply_delta(g, std::span<const EdgeDelta<V32>>(normalized));
+  const auto& want = oracle.report;
+  EXPECT_GT(want.strengthened, 0);
+  EXPECT_GT(want.upserts, 0);
+  EXPECT_GT(want.reweighted, 0);
+  EXPECT_EQ(want.self_loop_updates, 7);
+  EXPECT_LT(want.effective, want.applied);  // the no-op reweights and deletes
 
-  for (int k : {1, 3}) {
+  const auto expect_same_report = [&](const DeltaApplyReport& got, const std::string& what) {
+    EXPECT_EQ(got.applied, want.applied) << what;
+    EXPECT_EQ(got.inserted, want.inserted) << what;
+    EXPECT_EQ(got.strengthened, want.strengthened) << what;
+    EXPECT_EQ(got.deleted, want.deleted) << what;
+    EXPECT_EQ(got.missing_deletes, want.missing_deletes) << what;
+    EXPECT_EQ(got.reweighted, want.reweighted) << what;
+    EXPECT_EQ(got.upserts, want.upserts) << what;
+    EXPECT_EQ(got.self_loop_updates, want.self_loop_updates) << what;
+    EXPECT_EQ(got.effective, want.effective) << what;
+  };
+  for (int k : {1, 3, 4}) {
     auto sg = partition_graph(g, k);
     const auto applied = apply_delta(sg, std::span<const EdgeDelta<V32>>(normalized));
-    EXPECT_EQ(applied.report.inserted, oracle.report.inserted);
-    EXPECT_EQ(applied.report.strengthened, oracle.report.strengthened);
-    EXPECT_EQ(applied.report.deleted, oracle.report.deleted);
-    EXPECT_EQ(applied.report.missing_deletes, oracle.report.missing_deletes);
-    EXPECT_EQ(applied.report.reweighted, oracle.report.reweighted);
-    EXPECT_EQ(applied.report.effective, oracle.report.effective);
-    EXPECT_EQ(applied.touched, oracle.touched);
+    expect_same_report(applied.report, "K=" + std::to_string(k));
+    EXPECT_EQ(applied.touched, oracle.touched) << "K=" << k;
     expect_same_graph(sg.assemble(), oracle.graph);
   }
 
@@ -591,7 +696,8 @@ TEST(ShardDelta, RoutingMatchesUnsharded) {
   const std::string dir = fresh_dir("shard_delta_spill");
   auto sg = partition_graph(g, 3, ShardSpill{true, dir});
   const auto applied = apply_delta(sg, std::span<const EdgeDelta<V32>>(normalized));
-  EXPECT_EQ(applied.report.effective, oracle.report.effective);
+  expect_same_report(applied.report, "K=3 spilled");
+  EXPECT_EQ(applied.touched, oracle.touched);
   expect_same_graph(sg.assemble(), oracle.graph);
 }
 
@@ -618,10 +724,13 @@ TEST(ShardDyn, ApplyBatchQuality) {
   // prior labeling's score on the mutated graph.
   auto labels = dyn.clustering().community;
   auto& sg = dyn.graph();
-  const auto quality = sharded_labeling_quality(
+  const auto quality = labeling_quality(
       sg, std::span<const V32>(labels.data(), labels.size()), dyn.num_communities());
   EXPECT_NEAR(quality.first, row->modularity, 1e-9);
   EXPECT_GT(row->modularity, 0.5 * q0);
+  // The row carries the warm run's termination, so a degraded run shows.
+  EXPECT_EQ(row->termination, to_string(dyn.clustering().reason));
+  EXPECT_EQ(row->degraded, is_degraded(dyn.clustering().reason));
 
   // A no-op batch keeps the clustering bit-for-bit.
   DeltaBatch<V32> noop;
