@@ -22,7 +22,7 @@
 #include "commdet/obs/trace.hpp"
 #include "commdet/score/score_edges.hpp"
 #include "commdet/util/compact.hpp"
-#include "commdet/util/histogram.hpp"
+#include "commdet/util/parallel.hpp"
 #include "commdet/util/prefix_sum.hpp"
 #include "commdet/util/rng.hpp"
 #include "commdet/util/sort.hpp"
@@ -61,8 +61,15 @@ void BM_Histogram(benchmark::State& state) {
   std::vector<std::int32_t> keys(n);
   for (std::size_t i = 0; i < n; ++i)
     keys[i] = static_cast<std::int32_t>(rng.below(i, 4096));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(parallel_histogram(std::span<const std::int32_t>(keys), 4096));
+  const auto count = [&](std::int64_t begin, std::int64_t end, const auto& acc) {
+    for (std::int64_t i = begin; i < end; ++i) ++acc[0][static_cast<std::size_t>(keys[static_cast<std::size_t>(i)])];
+  };
+  for (auto _ : state) {
+    std::vector<std::int64_t> counts(4096, 0);
+    parallel_chunk_add(static_cast<std::int64_t>(n), parallel_threads(),
+                       std::array{std::span<std::int64_t>(counts)}, count);
+    benchmark::DoNotOptimize(counts.data());
+  }
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
 }
 BENCHMARK(BM_Histogram)->Arg(1 << 20);

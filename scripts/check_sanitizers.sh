@@ -3,11 +3,14 @@
 #
 #   1. ASan + UBSan over the full tier-1 suite, then the contraction,
 #      matching (edge-sweep kernel included), shard, graph-build,
-#      largest-component and delta-apply tests again at OMP_NUM_THREADS=4,
-#   2. TSan over the concurrency-heavy matcher/contractor/driver and
-#      delta-apply tests plus the streaming-service suite (a full TSan run is minutes of
+#      largest-component, delta-apply and parallel-primitive tests again
+#      at OMP_NUM_THREADS=4,
+#   2. TSan at OMP_NUM_THREADS=4 over the parallel primitives, the
+#      concurrency-heavy matcher/contractor/driver and delta-apply tests
+#      plus the streaming-service suite (a full TSan run is minutes of
 #      overhead; the data-race surface lives in match/, contract/, the
-#      parallel primitives, and the serve writer/reader exchange).
+#      parallel primitives, and the serve writer/reader exchange), and a
+#      canary race that TSan must report.
 #
 # Usage: scripts/check_sanitizers.sh [asan|tsan|all]   (default: all)
 set -euo pipefail
@@ -26,25 +29,27 @@ run_asan() {
   echo "== ASan + UBSan: kernel tests at 4 threads =="
   OMP_NUM_THREADS=4 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure -j "${jobs}" \
-      -R 'Contract|SortAndAccumulate|Match|UnmatchedList|EdgeSweep|Shard|Builder|Cc|ApplyDelta'
+      -R 'Contract|SortAndAccumulate|Match|UnmatchedList|EdgeSweep|Shard|Builder|Cc|ApplyDelta|Parallel|PrefixSum|Compact|Sort|Histogram|Metrics'
 }
 
 run_tsan() {
-  echo "== TSan: matcher / contractor / parallel-driver tests =="
+  echo "== TSan at 4 threads: primitives / matcher / contractor / driver tests =="
   cmake -B build-tsan -S . -DCOMMDET_SANITIZE="thread" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   for t in util_parallel_test util_spinlock_test match_test contract_test \
            agglomerate_test robust_budget_test sanitize_test obs_test \
-           serve_test telemetry_test cluster_test algo_test shard_test dyn_test; do
+           serve_test telemetry_test cluster_test algo_test shard_test dyn_test \
+           tsan_canary; do
     cmake --build build-tsan -j "${jobs}" --target "${t}" > /dev/null
   done
-  # OpenMP runtimes trip TSan's lock-order heuristics without the
-  # instrumented libomp, and libstdc++'s atomic<shared_ptr> hides its
-  # lock-bit happens-before from TSan; suppress known-benign runtime
-  # internals (see scripts/tsan.supp).
-  TSAN_OPTIONS="halt_on_error=1 suppressions=$(pwd)/scripts/tsan.supp" \
+  # libgomp is not instrumented; util/parallel.hpp, the only code that
+  # opens an OpenMP region, tells TSan where each region forks and joins,
+  # so the suite runs at 4 threads.  TsanCanary races on purpose and must
+  # be reported (WILL_FAIL).  libstdc++'s atomic<shared_ptr> hides its
+  # lock-bit happens-before from TSan; scripts/tsan.supp suppresses that.
+  OMP_NUM_THREADS=4 TSAN_OPTIONS="halt_on_error=1 suppressions=$(pwd)/scripts/tsan.supp" \
     ctest --test-dir build-tsan --output-on-failure -j "${jobs}" \
-      -R "ParallelFor|ParallelSum|ParallelCount|ParallelMax|ParallelExceptions|ExceptionCollector|Spinlock|Match|EdgeSweep|Contract|Agglomerate|Sanitize|BudgetTracker|Obs|Serve|Telemetry|Cluster|Algo|Shard|ApplyDelta"
+      -R "ParallelFor|ParallelSum|ParallelCount|ParallelMax|ParallelExceptions|ExceptionCollector|PrefixSum|Compact|Sort|Histogram|Spinlock|Match|EdgeSweep|Contract|Agglomerate|Sanitize|BudgetTracker|Obs|Serve|Telemetry|Cluster|Algo|Shard|ApplyDelta|TsanCanary"
 }
 
 case "${mode}" in

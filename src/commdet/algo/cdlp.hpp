@@ -112,41 +112,35 @@ template <VertexId V>
   int sweeps = 0;
   while (sweeps < opts.max_iterations) {
     ++sweeps;
-    std::int64_t changed = 0;
-    ExceptionCollector errors;
-#pragma omp parallel reduction(+ : changed)
-    {
-      std::vector<std::pair<V, Weight>> scratch;
-#pragma omp for schedule(dynamic, 256)
-      for (std::int64_t v = 0; v < nv; ++v) {
-        if (errors.armed()) continue;
-        errors.run([&] {
-          const auto vi = static_cast<std::size_t>(v);
-          if (synchronous) {
-            const V cur = labels[vi];
-            const V best = detail::cdlp_best_label(
-                g, static_cast<V>(v), cur,
-                [&](V u) { return labels[static_cast<std::size_t>(u)]; }, scratch);
-            next[vi] = best;
-            if (best != cur) ++changed;
-          } else {
-            const V cur = std::atomic_ref<V>(labels[vi]).load(std::memory_order_relaxed);
-            const V best = detail::cdlp_best_label(
-                g, static_cast<V>(v), cur,
-                [&](V u) {
-                  return std::atomic_ref<V>(labels[static_cast<std::size_t>(u)])
-                      .load(std::memory_order_relaxed);
-                },
-                scratch);
-            if (best != cur) {
-              std::atomic_ref<V>(labels[vi]).store(best, std::memory_order_relaxed);
-              ++changed;
-            }
-          }
-        });
+    struct Sweeper { std::vector<std::pair<V, Weight>> scratch; std::int64_t changed = 0; };
+    const auto sweep = [&](Sweeper& t, std::int64_t v) {
+      const auto vi = static_cast<std::size_t>(v);
+      if (synchronous) {
+        const V cur = labels[vi];
+        const V best = detail::cdlp_best_label(
+            g, static_cast<V>(v), cur,
+            [&](V u) { return labels[static_cast<std::size_t>(u)]; }, t.scratch);
+        next[vi] = best;
+        if (best != cur) ++t.changed;
+      } else {
+        const V cur = std::atomic_ref<V>(labels[vi]).load(std::memory_order_relaxed);
+        const V best = detail::cdlp_best_label(
+            g, static_cast<V>(v), cur,
+            [&](V u) {
+              return std::atomic_ref<V>(labels[static_cast<std::size_t>(u)])
+                  .load(std::memory_order_relaxed);
+            },
+            t.scratch);
+        if (best != cur) {
+          std::atomic_ref<V>(labels[vi]).store(best, std::memory_order_relaxed);
+          ++t.changed;
+        }
       }
-    }
-    errors.rethrow_if_armed();
+    };
+    std::int64_t changed = 0;
+    for (const Sweeper& t :
+         parallel_for_each_thread(nv, dynamic_schedule(256), [] { return Sweeper{}; }, sweep))
+      changed += t.changed;
     if (synchronous) labels.swap(next);
     if (changed <= threshold) {
       converged = true;

@@ -53,73 +53,67 @@ template <VertexId V>
                                          std::vector<Weight>& comm_vol) {
   const auto nv = static_cast<std::int64_t>(g.num_vertices());
   const double inv_w = 1.0 / w_total;
-  std::int64_t moved = 0;
-  ExceptionCollector errors;
-#pragma omp parallel reduction(+ : moved)
-  {
-    std::vector<std::pair<V, Weight>> scratch;
-#pragma omp for schedule(dynamic, 256)
-    for (std::int64_t v = 0; v < nv; ++v) {
-      if (errors.armed()) continue;
-      errors.run([&] {
-        const auto vi = static_cast<std::size_t>(v);
-        const auto nbrs = g.neighbors_of(static_cast<V>(v));
-        if (nbrs.empty()) return;
-        const auto wts = g.weights_of(static_cast<V>(v));
-        const V home = std::atomic_ref<V>(comm[vi]).load(std::memory_order_relaxed);
+  struct Mover { std::vector<std::pair<V, Weight>> scratch; std::int64_t moved = 0; };
+  const auto move = [&](Mover& t, std::int64_t v) {
+    const auto vi = static_cast<std::size_t>(v);
+    const auto nbrs = g.neighbors_of(static_cast<V>(v));
+    if (nbrs.empty()) return;
+    const auto wts = g.weights_of(static_cast<V>(v));
+    const V home = std::atomic_ref<V>(comm[vi]).load(std::memory_order_relaxed);
 
-        // Gather edge weight per neighboring community, ascending label
-        // (sorted gather; the first strict maximum is the smallest
-        // label, Lu–Halappanavar's deterministic tie handling).
-        scratch.clear();
-        for (std::size_t k = 0; k < nbrs.size(); ++k)
-          scratch.emplace_back(std::atomic_ref<V>(comm[static_cast<std::size_t>(nbrs[k])])
-                                   .load(std::memory_order_relaxed),
-                               wts[k]);
-        std::sort(scratch.begin(), scratch.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
+    // Gather edge weight per neighboring community, ascending label
+    // (sorted gather; the first strict maximum is the smallest
+    // label, Lu–Halappanavar's deterministic tie handling).
+    t.scratch.clear();
+    for (std::size_t k = 0; k < nbrs.size(); ++k)
+      t.scratch.emplace_back(std::atomic_ref<V>(comm[static_cast<std::size_t>(nbrs[k])])
+                                 .load(std::memory_order_relaxed),
+                             wts[k]);
+    std::sort(t.scratch.begin(), t.scratch.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
 
-        const double vol_v = static_cast<double>(vertex_vol[vi]);
-        Weight w_home = 0;
-        for (const auto& [c, w] : scratch)
-          if (c == home) w_home += w;
-        // Gain of living in community c (v's own volume removed first):
-        //   k_{v,c}/W - vol(c) * vol(v) / (2 W^2)
-        const double vol_home =
-            static_cast<double>(std::atomic_ref<Weight>(comm_vol[static_cast<std::size_t>(home)])
-                                    .load(std::memory_order_relaxed)) -
-            static_cast<double>(vertex_vol[vi]);
-        double best_gain = static_cast<double>(w_home) * inv_w -
-                           vol_home * vol_v * inv_w * inv_w * 0.5;
-        V best = home;
-        std::size_t i = 0;
-        while (i < scratch.size()) {
-          const V c = scratch[i].first;
-          Weight w_vc = 0;
-          for (; i < scratch.size() && scratch[i].first == c; ++i) w_vc += scratch[i].second;
-          if (c == home) continue;
-          const double vol_c = static_cast<double>(
-              std::atomic_ref<Weight>(comm_vol[static_cast<std::size_t>(c)])
-                  .load(std::memory_order_relaxed));
-          const double gain = static_cast<double>(w_vc) * inv_w -
-                              vol_c * vol_v * inv_w * inv_w * 0.5;
-          if (gain > best_gain + min_gain) {
-            best_gain = gain;
-            best = c;
-          }
-        }
-        if (best != home) {
-          std::atomic_ref<Weight>(comm_vol[static_cast<std::size_t>(home)])
-              .fetch_sub(vertex_vol[vi], std::memory_order_relaxed);
-          std::atomic_ref<Weight>(comm_vol[static_cast<std::size_t>(best)])
-              .fetch_add(vertex_vol[vi], std::memory_order_relaxed);
-          std::atomic_ref<V>(comm[vi]).store(best, std::memory_order_relaxed);
-          ++moved;
-        }
-      });
+    const double vol_v = static_cast<double>(vertex_vol[vi]);
+    Weight w_home = 0;
+    for (const auto& [c, w] : t.scratch)
+      if (c == home) w_home += w;
+    // Gain of living in community c (v's own volume removed first):
+    //   k_{v,c}/W - vol(c) * vol(v) / (2 W^2)
+    const double vol_home =
+        static_cast<double>(std::atomic_ref<Weight>(comm_vol[static_cast<std::size_t>(home)])
+                                .load(std::memory_order_relaxed)) -
+        static_cast<double>(vertex_vol[vi]);
+    double best_gain = static_cast<double>(w_home) * inv_w -
+                       vol_home * vol_v * inv_w * inv_w * 0.5;
+    V best = home;
+    std::size_t i = 0;
+    while (i < t.scratch.size()) {
+      const V c = t.scratch[i].first;
+      Weight w_vc = 0;
+      for (; i < t.scratch.size() && t.scratch[i].first == c; ++i) w_vc += t.scratch[i].second;
+      if (c == home) continue;
+      const double vol_c = static_cast<double>(
+          std::atomic_ref<Weight>(comm_vol[static_cast<std::size_t>(c)])
+              .load(std::memory_order_relaxed));
+      const double gain = static_cast<double>(w_vc) * inv_w -
+                          vol_c * vol_v * inv_w * inv_w * 0.5;
+      if (gain > best_gain + min_gain) {
+        best_gain = gain;
+        best = c;
+      }
     }
-  }
-  errors.rethrow_if_armed();
+    if (best != home) {
+      std::atomic_ref<Weight>(comm_vol[static_cast<std::size_t>(home)])
+          .fetch_sub(vertex_vol[vi], std::memory_order_relaxed);
+      std::atomic_ref<Weight>(comm_vol[static_cast<std::size_t>(best)])
+          .fetch_add(vertex_vol[vi], std::memory_order_relaxed);
+      std::atomic_ref<V>(comm[vi]).store(best, std::memory_order_relaxed);
+      ++t.moved;
+    }
+  };
+  std::int64_t moved = 0;
+  for (const Mover& t :
+       parallel_for_each_thread(nv, dynamic_schedule(256), [] { return Mover{}; }, move))
+    moved += t.moved;
   return moved;
 }
 

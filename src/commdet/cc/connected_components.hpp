@@ -75,9 +75,10 @@ template <VertexId V>
     if (edge.u != edge.v) detail::uf_union(parent, edge.u, edge.v);
   });
 
-  // Flatten so every vertex points directly at its root.
+  // Flatten so every vertex points at its root; other finds still read.
   parallel_for(nv, [&](std::int64_t v) {
-    parent[static_cast<std::size_t>(v)] = detail::uf_find(parent, static_cast<V>(v));
+    std::atomic_ref<V>(parent[static_cast<std::size_t>(v)])
+        .store(detail::uf_find(parent, static_cast<V>(v)), std::memory_order_relaxed);
   });
   return parent;
 }
@@ -103,24 +104,17 @@ template <VertexId V>
   uf_span.close();
 
   obs::ScopedSpan extract_span("cc.extract");
-  // Component sizes: each chunk of vertices counts into its own nv-long
-  // array (a chunk spans at least 4096 vertices), then chunk 0's array
-  // gathers the sums.
-  const std::int64_t nchunks = std::clamp<std::int64_t>(nv / 4096, 1, parallel_threads());
-  std::vector<std::vector<V>> chunk_size(static_cast<std::size_t>(nchunks));
-  parallel_for(nchunks, [&](std::int64_t c) {
-    auto& size = chunk_size[static_cast<std::size_t>(c)];
-    size.assign(static_cast<std::size_t>(nv), 0);
-    for (std::int64_t v = nv * c / nchunks; v < nv * (c + 1) / nchunks; ++v)
-      ++size[static_cast<std::size_t>(labels[static_cast<std::size_t>(v)])];
-  });
-  auto& size = chunk_size[0];
-  parallel_for(nv, [&](std::int64_t v) {
-    for (std::size_t c = 1; c < chunk_size.size(); ++c)
-      size[static_cast<std::size_t>(v)] += chunk_size[c][static_cast<std::size_t>(v)];
-  });
+  // Component sizes: chunks of at least 4096 vertices count into their
+  // own arrays, never atomics (the giant component's root is one slot).
+  std::vector<V> size(static_cast<std::size_t>(nv), 0);
+  const auto count = [&](std::int64_t begin, std::int64_t end, const auto& acc) {
+    for (std::int64_t v = begin; v < end; ++v)
+      ++acc[0][static_cast<std::size_t>(labels[static_cast<std::size_t>(v)])];
+  };
+  parallel_chunk_add(nv, std::clamp<std::int64_t>(nv / 4096, 1, parallel_threads()),
+                     std::array{std::span<V>(size)}, count);
   const auto root = static_cast<V>(std::max_element(size.begin(), size.end()) - size.begin());
-  chunk_size = {};
+  size = {};
 
   // Dense new ids for members, in vertex order.
   std::vector<V> new_id(static_cast<std::size_t>(nv));

@@ -105,7 +105,6 @@
 #include "commdet/score/scorers.hpp"
 #include "commdet/util/atomics.hpp"
 #include "commdet/util/compact.hpp"
-#include "commdet/util/histogram.hpp"
 #include "commdet/util/parallel.hpp"
 #include "commdet/util/prefix_sum.hpp"
 #include "commdet/util/rng.hpp"

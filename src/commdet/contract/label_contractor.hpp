@@ -74,81 +74,76 @@ BucketAccumulation sort_and_accumulate_buckets(std::span<const EdgeId> off, Edge
   BucketAccumulation result;
   result.new_len.assign(static_cast<std::size_t>(nb), 0);
   auto& new_len = result.new_len;
-  std::int64_t dense_buckets = 0;
-  ExceptionCollector errors;
-#pragma omp parallel reduction(+ : dense_buckets)
-  {
-    std::vector<std::pair<V, Weight>> scratch;
-    std::vector<Weight> acc;            // acc[key - origin], all zero between buckets
+  struct Scratch {  // per thread
+    std::vector<std::pair<V, Weight>> sorted;
+    std::vector<Weight> acc;             // acc[key - origin], all zero between buckets
     std::vector<std::uint64_t> present;  // bit (key - origin), all clear between buckets
-#pragma omp for schedule(dynamic, 64)
-    for (std::int64_t v = 0; v < nb; ++v) {
-      if (errors.armed()) continue;
-      errors.run([&] {
-        const EdgeId bb = off[static_cast<std::size_t>(v)] - base;
-        const EdgeId be = off[static_cast<std::size_t>(v) + 1] - base;
-        const EdgeId n = be - bb;
-        new_len[static_cast<std::size_t>(v)] = n;
-        if (n < 2) return;
+    std::int64_t dense_buckets = 0;
+  };
+  const auto accumulate = [&](Scratch& scratch, std::int64_t v) {
+    const EdgeId bb = off[static_cast<std::size_t>(v)] - base;
+    const EdgeId be = off[static_cast<std::size_t>(v) + 1] - base;
+    const EdgeId n = be - bb;
+    new_len[static_cast<std::size_t>(v)] = n;
+    if (n < 2) return;
 
-        V lo = second[static_cast<std::size_t>(bb)];
-        V hi = lo;
-        for (EdgeId k = bb + 1; k < be; ++k) {
-          const V s = second[static_cast<std::size_t>(k)];
-          lo = std::min(lo, s);
-          hi = std::max(hi, s);
-        }
-        const std::int64_t first_word = static_cast<std::int64_t>(lo) >> 6;
-        const std::int64_t words = (static_cast<std::int64_t>(hi) >> 6) - first_word + 1;
-        EdgeId w = bb;  // write cursor back into the bucket
-        const auto log2n =
-            static_cast<std::int64_t>(std::bit_width(static_cast<std::uint64_t>(n))) - 1;
-        if (words <= n * log2n) {
-          ++dense_buckets;
-          const std::int64_t origin = first_word << 6;
-          const auto nwords = static_cast<std::size_t>(words);
-          if (present.size() < nwords) {
-            present.resize(nwords, 0);
-            acc.resize(nwords * 64, 0);
-          }
-          for (EdgeId k = bb; k < be; ++k) {
-            const auto key = static_cast<std::size_t>(
-                static_cast<std::int64_t>(second[static_cast<std::size_t>(k)]) - origin);
-            acc[key] += weight[static_cast<std::size_t>(k)];
-            present[key >> 6] |= std::uint64_t{1} << (key & 63);
-          }
-          for (std::size_t word = 0; word < nwords; ++word) {
-            for (auto bits = std::exchange(present[word], 0); bits != 0; bits &= bits - 1) {
-              const std::size_t key = (word << 6) + std::countr_zero(bits);
-              second[static_cast<std::size_t>(w)] =
-                  static_cast<V>(origin + static_cast<std::int64_t>(key));
-              weight[static_cast<std::size_t>(w)] = std::exchange(acc[key], 0);
-              ++w;
-            }
-          }
-        } else {
-          scratch.clear();
-          for (EdgeId k = bb; k < be; ++k)
-            scratch.emplace_back(second[static_cast<std::size_t>(k)],
-                                 weight[static_cast<std::size_t>(k)]);
-          std::sort(scratch.begin(), scratch.end(),
-                    [](const auto& x, const auto& y) { return x.first < y.first; });
-          for (std::size_t r = 0; r < scratch.size(); ++r) {
-            if (r > 0 && scratch[r].first == second[static_cast<std::size_t>(w - 1)]) {
-              weight[static_cast<std::size_t>(w - 1)] += scratch[r].second;
-            } else {
-              second[static_cast<std::size_t>(w)] = scratch[r].first;
-              weight[static_cast<std::size_t>(w)] = scratch[r].second;
-              ++w;
-            }
-          }
-        }
-        new_len[static_cast<std::size_t>(v)] = w - bb;
-      });
+    V lo = second[static_cast<std::size_t>(bb)];
+    V hi = lo;
+    for (EdgeId k = bb + 1; k < be; ++k) {
+      const V s = second[static_cast<std::size_t>(k)];
+      lo = std::min(lo, s);
+      hi = std::max(hi, s);
     }
-  }
-  errors.rethrow_if_armed();
-  result.dense_buckets = dense_buckets;
+    const std::int64_t first_word = static_cast<std::int64_t>(lo) >> 6;
+    const std::int64_t words = (static_cast<std::int64_t>(hi) >> 6) - first_word + 1;
+    EdgeId w = bb;  // write cursor back into the bucket
+    const auto log2n =
+        static_cast<std::int64_t>(std::bit_width(static_cast<std::uint64_t>(n))) - 1;
+    if (words <= n * log2n) {
+      ++scratch.dense_buckets;
+      const std::int64_t origin = first_word << 6;
+      const auto nwords = static_cast<std::size_t>(words);
+      if (scratch.present.size() < nwords) {
+        scratch.present.resize(nwords, 0);
+        scratch.acc.resize(nwords * 64, 0);
+      }
+      for (EdgeId k = bb; k < be; ++k) {
+        const auto key = static_cast<std::size_t>(
+            static_cast<std::int64_t>(second[static_cast<std::size_t>(k)]) - origin);
+        scratch.acc[key] += weight[static_cast<std::size_t>(k)];
+        scratch.present[key >> 6] |= std::uint64_t{1} << (key & 63);
+      }
+      for (std::size_t word = 0; word < nwords; ++word) {
+        for (auto bits = std::exchange(scratch.present[word], 0); bits != 0; bits &= bits - 1) {
+          const std::size_t key = (word << 6) + std::countr_zero(bits);
+          second[static_cast<std::size_t>(w)] =
+              static_cast<V>(origin + static_cast<std::int64_t>(key));
+          weight[static_cast<std::size_t>(w)] = std::exchange(scratch.acc[key], 0);
+          ++w;
+        }
+      }
+    } else {
+      scratch.sorted.clear();
+      for (EdgeId k = bb; k < be; ++k)
+        scratch.sorted.emplace_back(second[static_cast<std::size_t>(k)],
+                                    weight[static_cast<std::size_t>(k)]);
+      std::sort(scratch.sorted.begin(), scratch.sorted.end(),
+                [](const auto& x, const auto& y) { return x.first < y.first; });
+      for (std::size_t r = 0; r < scratch.sorted.size(); ++r) {
+        if (r > 0 && scratch.sorted[r].first == second[static_cast<std::size_t>(w - 1)]) {
+          weight[static_cast<std::size_t>(w - 1)] += scratch.sorted[r].second;
+        } else {
+          second[static_cast<std::size_t>(w)] = scratch.sorted[r].first;
+          weight[static_cast<std::size_t>(w)] = scratch.sorted[r].second;
+          ++w;
+        }
+      }
+    }
+    new_len[static_cast<std::size_t>(v)] = w - bb;
+  };
+  for (const Scratch& t : parallel_for_each_thread(nb, dynamic_schedule(64),
+                                                   [] { return Scratch{}; }, accumulate))
+    result.dense_buckets += t.dense_buckets;
   return result;
 }
 
@@ -239,7 +234,7 @@ template <EdgeRange E, typename L, VertexId V>
   chunks.ne = edges.num_edges();
   chunks.nchunks = std::clamp<std::int64_t>(
       static_cast<std::int64_t>(chunks.ne) / std::max<std::int64_t>({window, nself, 1}), 1,
-      std::max(1, omp_get_max_threads()));
+      parallel_threads());
   chunks.cursor.resize(static_cast<std::size_t>(chunks.nchunks));
   const bool fold = nself > 0;
   std::vector<std::vector<Weight>> chunk_self(fold ? static_cast<std::size_t>(chunks.nchunks)

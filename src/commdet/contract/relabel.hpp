@@ -70,7 +70,7 @@ void fold_vertex_state(const G& g, std::span<const V> labels, std::span<Weight> 
                        std::span<Weight> volume) {
   const auto nv = static_cast<std::int64_t>(g.nv);
   const auto n = static_cast<std::int64_t>(volume.size());
-  const std::int64_t nchunks = std::max(1, omp_get_max_threads());
+  const std::int64_t nchunks = parallel_threads();
   if (nchunks == 1 || n * nchunks >= nv) {
     parallel_for(nv, [&](std::int64_t v) {
       const auto vi = static_cast<std::size_t>(v);
@@ -81,27 +81,14 @@ void fold_vertex_state(const G& g, std::span<const V> labels, std::span<Weight> 
     });
     return;
   }
-  std::vector<std::vector<Weight>> chunk_self(static_cast<std::size_t>(nchunks));
-  std::vector<std::vector<Weight>> chunk_volume(static_cast<std::size_t>(nchunks));
-  parallel_for_dynamic(nchunks, [&](std::int64_t c) {
-    auto& cs = chunk_self[static_cast<std::size_t>(c)];
-    auto& cv = chunk_volume[static_cast<std::size_t>(c)];
-    cs.assign(static_cast<std::size_t>(n), 0);
-    cv.assign(static_cast<std::size_t>(n), 0);
-    for (std::int64_t v = nv * c / nchunks, ve = nv * (c + 1) / nchunks; v < ve; ++v) {
-      const auto vi = static_cast<std::size_t>(v);
+  const auto fold = [&](std::int64_t begin, std::int64_t end, const auto& acc) {
+    for (auto vi = static_cast<std::size_t>(begin); vi < static_cast<std::size_t>(end); ++vi) {
       const auto l = static_cast<std::size_t>(labels[vi]);
-      cv[l] += g.volume[vi];
-      cs[l] += g.self_weight[vi];
+      acc[0][l] += g.self_weight[vi];
+      acc[1][l] += g.volume[vi];
     }
-  }, /*chunk=*/1);
-  parallel_for(n, [&](std::int64_t l) {
-    const auto li = static_cast<std::size_t>(l);
-    for (std::int64_t c = 0; c < nchunks; ++c) {
-      volume[li] += chunk_volume[static_cast<std::size_t>(c)][li];
-      self[li] += chunk_self[static_cast<std::size_t>(c)][li];
-    }
-  });
+  };
+  parallel_chunk_add(nv, nchunks, std::array{self, volume}, fold);
 }
 
 template <VertexId V>

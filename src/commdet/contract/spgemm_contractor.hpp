@@ -81,16 +81,22 @@ class SpGemmContractor {
     // and diagonal (intra-community) accumulation into self weights.
     // Each undirected edge appears in both endpoint rows of A, so the
     // diagonal gathers 2x the internal weight — halved on write.
-    ExceptionCollector pass1_errors;
-#pragma omp parallel
-    {
-      std::vector<std::uint32_t> stamp(static_cast<std::size_t>(new_nv), 0);
+    // Per-thread row scratch: stamp[col] == generation marks col as seen
+    // in the current row; acc[col] is the row's weight to col (pass 2).
+    struct RowScratch {
+      std::vector<std::uint32_t> stamp;
       std::uint32_t generation = 0;
-#pragma omp for schedule(dynamic, 64)
-      for (std::int64_t row = 0; row < new_nv; ++row) {
-        if (pass1_errors.armed()) continue;
-        pass1_errors.run([&] {
-          ++generation;
+      std::vector<Weight> acc;
+      std::vector<V> touched;
+    };
+    const auto make_scratch = [n = static_cast<std::size_t>(new_nv)](bool accumulate) {
+      return RowScratch{std::vector<std::uint32_t>(n, 0), 0,
+                        std::vector<Weight>(accumulate ? n : 0, 0), {}};
+    };
+    (void)parallel_for_each_thread(
+        new_nv, dynamic_schedule(64), [&] { return make_scratch(false); },
+        [&](RowScratch& t, std::int64_t row) {
+          ++t.generation;
           EdgeId owned = 0;
           Weight diagonal = 0;
           for_each_entry(row, [&](V col, Weight w) {
@@ -100,18 +106,14 @@ class SpGemmContractor {
             }
             const auto [f, s] = hashed_edge_order(static_cast<V>(row), col);
             if (f != static_cast<V>(row)) return;  // owned by the other row
-            if (stamp[static_cast<std::size_t>(col)] != generation) {
-              stamp[static_cast<std::size_t>(col)] = generation;
+            if (t.stamp[static_cast<std::size_t>(col)] != t.generation) {
+              t.stamp[static_cast<std::size_t>(col)] = t.generation;
               ++owned;
             }
           });
           row_len[static_cast<std::size_t>(row)] = owned;
-          if (diagonal > 0)
-            out.self_weight[static_cast<std::size_t>(row)] += diagonal / 2;
+          if (diagonal > 0) out.self_weight[static_cast<std::size_t>(row)] += diagonal / 2;
         });
-      }
-    }
-    pass1_errors.rethrow_if_armed();
 
     std::vector<EdgeId> offsets(row_len.begin(), row_len.end());
     offsets.push_back(0);
@@ -122,43 +124,32 @@ class SpGemmContractor {
 
     // Pass 2: accumulate weights per unique column and write the row,
     // sorted by column for the bucket-order invariant.
-    ExceptionCollector pass2_errors;
-#pragma omp parallel
-    {
-      std::vector<std::uint32_t> stamp(static_cast<std::size_t>(new_nv), 0);
-      std::vector<Weight> acc(static_cast<std::size_t>(new_nv), 0);
-      std::vector<V> touched;
-      std::uint32_t generation = 0;
-#pragma omp for schedule(dynamic, 64)
-      for (std::int64_t row = 0; row < new_nv; ++row) {
-        if (pass2_errors.armed()) continue;
-        pass2_errors.run([&] {
-          ++generation;
-          touched.clear();
+    (void)parallel_for_each_thread(
+        new_nv, dynamic_schedule(64), [&] { return make_scratch(true); },
+        [&](RowScratch& t, std::int64_t row) {
+          ++t.generation;
+          t.touched.clear();
           for_each_entry(row, [&](V col, Weight w) {
             if (static_cast<std::int64_t>(col) == row) return;
             const auto [f, s] = hashed_edge_order(static_cast<V>(row), col);
             if (f != static_cast<V>(row)) return;
             const auto ci = static_cast<std::size_t>(col);
-            if (stamp[ci] != generation) {
-              stamp[ci] = generation;
-              acc[ci] = 0;
-              touched.push_back(col);
+            if (t.stamp[ci] != t.generation) {
+              t.stamp[ci] = t.generation;
+              t.acc[ci] = 0;
+              t.touched.push_back(col);
             }
-            acc[ci] += w;
+            t.acc[ci] += w;
           });
-          std::sort(touched.begin(), touched.end());
+          std::sort(t.touched.begin(), t.touched.end());
           EdgeId at = offsets[static_cast<std::size_t>(row)];
-          for (const V col : touched) {
+          for (const V col : t.touched) {
             out.efirst[static_cast<std::size_t>(at)] = static_cast<V>(row);
             out.esecond[static_cast<std::size_t>(at)] = col;
-            out.eweight[static_cast<std::size_t>(at)] = acc[static_cast<std::size_t>(col)];
+            out.eweight[static_cast<std::size_t>(at)] = t.acc[static_cast<std::size_t>(col)];
             ++at;
           }
         });
-      }
-    }
-    pass2_errors.rethrow_if_armed();
 
     out.bucket_begin.assign(offsets.begin(), offsets.end() - 1);
     out.bucket_end.assign(static_cast<std::size_t>(new_nv), 0);

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <optional>
@@ -37,8 +38,9 @@ std::int64_t compact_labels(std::vector<V>& labels) {
   });
   std::vector<V> newid(static_cast<std::size_t>(max_label) + 1, 0);
   parallel_for(n, [&](std::int64_t i) {
-    // Benign same-value race: every writer stores 1.
-    newid[static_cast<std::size_t>(labels[static_cast<std::size_t>(i)])] = 1;
+    // Every writer stores the same 1: relaxed atomic stores suffice.
+    std::atomic_ref<V>(newid[static_cast<std::size_t>(labels[static_cast<std::size_t>(i)])])
+        .store(1, std::memory_order_relaxed);
   });
   const V k = exclusive_prefix_sum(std::span<V>(newid));
   parallel_for(n, [&](std::int64_t i) {

@@ -42,31 +42,24 @@ template <VertexId V>
 
   const auto nv = static_cast<std::int64_t>(g.nv);
   const auto ne = static_cast<std::int64_t>(g.num_edges());
-  const std::int64_t nchunks = std::max(1, omp_get_max_threads());
-  if (num_comms * nchunks <= nv + ne) {
+  const std::int64_t nchunks = parallel_threads();
+  if (nv > 0 && num_comms * nchunks <= nv + ne) {
     // Few communities relative to the input: per-edge atomic adds would
     // serialize on the handful of hot community slots (all of a big
     // community's edges hit the same counter), so accumulate into
     // per-chunk histograms and reduce.  Weights are integers — the
-    // result is bit-identical to the atomic path.
-    std::vector<std::vector<Weight>> cint(static_cast<std::size_t>(nchunks));
-    std::vector<std::vector<Weight>> cvol(static_cast<std::size_t>(nchunks));
-    std::vector<std::vector<std::int64_t>> csize(static_cast<std::size_t>(nchunks));
-    parallel_for_dynamic(nchunks, [&](std::int64_t c) {
-      auto& li = cint[static_cast<std::size_t>(c)];
-      auto& lv = cvol[static_cast<std::size_t>(c)];
-      auto& ls = csize[static_cast<std::size_t>(c)];
-      li.assign(static_cast<std::size_t>(num_comms), 0);
-      lv.assign(static_cast<std::size_t>(num_comms), 0);
-      ls.assign(static_cast<std::size_t>(num_comms), 0);
-      for (std::int64_t v = nv * c / nchunks, ve = nv * (c + 1) / nchunks; v < ve; ++v) {
+    // result is bit-identical to the atomic path.  Each chunk of the
+    // vertex range also takes the matching share of the edge range.
+    const auto add = [&](std::int64_t vb, std::int64_t ve, const auto& acc) {
+      const auto& [li, lv, ls] = acc;
+      for (std::int64_t v = vb; v < ve; ++v) {
         const auto cc = static_cast<std::size_t>(labels[static_cast<std::size_t>(v)]);
         const Weight self = g.self_weight[static_cast<std::size_t>(v)];
         li[cc] += self;
         lv[cc] += 2 * self;
         ++ls[cc];
       }
-      for (std::int64_t e = ne * c / nchunks, ee = ne * (c + 1) / nchunks; e < ee; ++e) {
+      for (std::int64_t e = ne * vb / nv, ee = ne * ve / nv; e < ee; ++e) {
         const auto i = static_cast<std::size_t>(e);
         const auto ca =
             static_cast<std::size_t>(labels[static_cast<std::size_t>(g.efirst[i])]);
@@ -77,15 +70,9 @@ template <VertexId V>
         lv[cb] += w;
         if (ca == cb) li[ca] += w;
       }
-    }, /*chunk=*/1);
-    parallel_for(num_comms, [&](std::int64_t cc) {
-      const auto i = static_cast<std::size_t>(cc);
-      for (std::int64_t c = 0; c < nchunks; ++c) {
-        internal[i] += cint[static_cast<std::size_t>(c)][i];
-        volume[i] += cvol[static_cast<std::size_t>(c)][i];
-        size[i] += csize[static_cast<std::size_t>(c)][i];
-      }
-    });
+    };
+    parallel_chunk_add(nv, nchunks,
+                       std::array{std::span(internal), std::span(volume), std::span(size)}, add);
   } else {
     parallel_for(nv, [&](std::int64_t v) {
       const auto c = static_cast<std::size_t>(labels[static_cast<std::size_t>(v)]);

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -49,8 +50,8 @@ std::int64_t halo_hop(const E& edges, std::span<const std::uint8_t> dirty,
     const auto f = static_cast<std::size_t>(edges.efirst[i]);
     const auto s = static_cast<std::size_t>(edges.esecond[i]);
     if (dirty[f] == dirty[s]) return std::int64_t{0};
-    // Benign same-value race: every writer stores 1.
-    next[dirty[f] ? s : f] = 1;
+    // Every writer stores the same 1: relaxed atomic stores suffice.
+    std::atomic_ref<std::uint8_t>(next[dirty[f] ? s : f]).store(1, std::memory_order_relaxed);
     return std::int64_t{1};
   });
 }

@@ -134,17 +134,14 @@ namespace detail {
 template <VertexId V>
 void validate_deltas(std::span<const EdgeDelta<V>> deltas, V nv) {
   const auto nd = static_cast<std::int64_t>(deltas.size());
-  std::atomic<bool> bad_endpoint{false};
-  std::atomic<bool> bad_weight{false};
-  parallel_for(nd, [&](std::int64_t i) {
+  // A max-reduction: a bad endpoint (2) outranks a bad weight (1).
+  const int bad = parallel_max(nd, 0, [&](std::int64_t i) {
     const auto& d = deltas[static_cast<std::size_t>(i)];
-    if (d.u < 0 || d.u >= nv || d.v < 0 || d.v >= nv)
-      bad_endpoint.store(true, std::memory_order_relaxed);
-    if (d.op != DeltaOp::kDelete && d.w <= 0)
-      bad_weight.store(true, std::memory_order_relaxed);
+    if (d.u < 0 || d.u >= nv || d.v < 0 || d.v >= nv) return 2;
+    return d.op != DeltaOp::kDelete && d.w <= 0 ? 1 : 0;
   });
-  if (bad_endpoint.load()) throw std::invalid_argument("delta endpoint out of range");
-  if (bad_weight.load()) throw std::invalid_argument("delta weight must be positive");
+  if (bad == 2) throw std::invalid_argument("delta endpoint out of range");
+  if (bad == 1) throw std::invalid_argument("delta weight must be positive");
 #ifndef NDEBUG
   // Normalization contract: strictly sorted by (first, second).
   for (std::int64_t i = 1; i < nd; ++i) {

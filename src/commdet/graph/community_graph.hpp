@@ -103,27 +103,20 @@ struct CommunityGraph {
   /// chunk of edges adds into its own array, so a hub's volume is not a
   /// contended atomic; at most ne / nv chunks.
   void recompute_volumes() {
-    const auto n = static_cast<std::size_t>(nv);
     const EdgeId ne = num_edges();
+    volume.resize(static_cast<std::size_t>(nv));
+    parallel_for(static_cast<std::int64_t>(nv), [&](std::int64_t v) {
+      volume[static_cast<std::size_t>(v)] = 2 * self_weight[static_cast<std::size_t>(v)];
+    });
     const std::int64_t nchunks = std::clamp<std::int64_t>(
         ne / std::max<std::int64_t>(static_cast<std::int64_t>(nv), 1), 1, parallel_threads());
-    std::vector<std::vector<Weight>> part(static_cast<std::size_t>(nchunks));
-    parallel_for(nchunks, [&](std::int64_t c) {
-      auto& vol = part[static_cast<std::size_t>(c)];
-      vol.assign(n, 0);
-      for (EdgeId e = ne * c / nchunks; e < ne * (c + 1) / nchunks; ++e) {
-        const auto i = static_cast<std::size_t>(e);
-        vol[static_cast<std::size_t>(efirst[i])] += eweight[i];
-        vol[static_cast<std::size_t>(esecond[i])] += eweight[i];
+    const auto add = [&](EdgeId begin, EdgeId end, const auto& acc) {
+      for (auto i = static_cast<std::size_t>(begin); i < static_cast<std::size_t>(end); ++i) {
+        acc[0][static_cast<std::size_t>(efirst[i])] += eweight[i];
+        acc[0][static_cast<std::size_t>(esecond[i])] += eweight[i];
       }
-    });
-    volume.assign(n, 0);
-    parallel_for(static_cast<std::int64_t>(nv), [&](std::int64_t v) {
-      const auto i = static_cast<std::size_t>(v);
-      Weight vol = 2 * self_weight[i];
-      for (const auto& p : part) vol += p[i];
-      volume[i] = vol;
-    });
+    };
+    parallel_chunk_add(ne, nchunks, std::array{std::span<Weight>(volume)}, add);
   }
 };
 

@@ -3,7 +3,6 @@
 // report's degree/community-size summaries.
 #pragma once
 
-#include <atomic>
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "commdet/graph/community_graph.hpp"
-#include "commdet/util/histogram.hpp"
 #include "commdet/util/parallel.hpp"
 #include "commdet/util/types.hpp"
 
@@ -43,6 +41,24 @@ struct DistributionSummary {
   std::vector<std::int64_t> log2_buckets;
 };
 
+namespace detail {
+
+/// counts[k] = |{i in [0, n) : key_of(i) == k}|, in at most n / bins chunks.
+template <typename KeyOf>
+[[nodiscard]] std::vector<std::int64_t> count_keys(std::int64_t n, std::int64_t bins,
+                                                   KeyOf key_of) {
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(bins), 0);
+  const auto count = [&](std::int64_t begin, std::int64_t end, const auto& acc) {
+    for (std::int64_t i = begin; i < end; ++i) ++acc[0][static_cast<std::size_t>(key_of(i))];
+  };
+  parallel_chunk_add(n, std::clamp<std::int64_t>(n / std::max<std::int64_t>(bins, 1), 1,
+                                                 parallel_threads()),
+                     std::array{std::span<std::int64_t>(counts)}, count);
+  return counts;
+}
+
+}  // namespace detail
+
 /// Summarizes `values` (each >= 0).  Report-time cost: one sort of a
 /// copy for exact percentiles.
 [[nodiscard]] inline DistributionSummary summarize_values(
@@ -67,31 +83,22 @@ struct DistributionSummary {
   s.p90 = at(0.90);
   s.p99 = at(0.99);
 
-  // Reuse the parallel histogram over bit widths (bounded by 64 bins).
-  std::vector<std::int64_t> widths(sorted.size());
-  parallel_for(static_cast<std::int64_t>(sorted.size()), [&](std::int64_t i) {
-    widths[static_cast<std::size_t>(i)] = static_cast<std::int64_t>(
-        std::bit_width(static_cast<std::uint64_t>(sorted[static_cast<std::size_t>(i)])));
-  });
   const auto max_width =
       static_cast<std::int64_t>(std::bit_width(static_cast<std::uint64_t>(s.max)));
-  s.log2_buckets =
-      parallel_histogram(std::span<const std::int64_t>(widths), max_width + 1);
+  s.log2_buckets = detail::count_keys(s.count, max_width + 1, [&](std::int64_t i) {
+    return std::bit_width(static_cast<std::uint64_t>(sorted[static_cast<std::size_t>(i)]));
+  });
   return s;
 }
 
 /// Unweighted degree (bucket entries from both endpoints) per vertex.
 template <VertexId V>
 [[nodiscard]] std::vector<std::int64_t> degree_array(const CommunityGraph<V>& g) {
-  std::vector<std::int64_t> degree(static_cast<std::size_t>(g.nv), 0);
-  parallel_for(g.num_edges(), [&](std::int64_t e) {
-    const auto i = static_cast<std::size_t>(e);
-    std::atomic_ref<std::int64_t>(degree[static_cast<std::size_t>(g.efirst[i])])
-        .fetch_add(1, std::memory_order_relaxed);
-    std::atomic_ref<std::int64_t>(degree[static_cast<std::size_t>(g.esecond[i])])
-        .fetch_add(1, std::memory_order_relaxed);
+  const EdgeId ne = g.num_edges();
+  return detail::count_keys(2 * ne, g.nv, [&](std::int64_t i) {
+    const auto e = static_cast<std::size_t>(i < ne ? i : i - ne);
+    return i < ne ? g.efirst[e] : g.esecond[e];
   });
-  return degree;
 }
 
 /// Degree-distribution summary for the run report.
@@ -102,12 +109,14 @@ template <VertexId V>
 }
 
 /// Community-size distribution of a labeling with labels dense in
-/// [0, num_communities): sizes come from one parallel histogram pass.
+/// [0, num_communities): sizes come from one chunk-private count.
 template <VertexId V>
 [[nodiscard]] DistributionSummary community_size_distribution(
     std::span<const V> labels, std::int64_t num_communities) {
   if (num_communities <= 0) return {};
-  const auto sizes = parallel_histogram(labels, num_communities);
+  const auto sizes =
+      detail::count_keys(static_cast<std::int64_t>(labels.size()), num_communities,
+                         [&](std::int64_t i) { return labels[static_cast<std::size_t>(i)]; });
   return summarize_values(std::span<const std::int64_t>(sizes));
 }
 

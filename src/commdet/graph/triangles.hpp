@@ -101,16 +101,13 @@ template <VertexId V>
   if (s.wedges > 0)
     s.global_clustering = 3.0 * static_cast<double>(s.triangles) / static_cast<double>(s.wedges);
 
-  double local_sum = 0.0;
-  std::int64_t eligible = 0;
-#pragma omp parallel for schedule(static) reduction(+ : local_sum, eligible)
-  for (std::int64_t v = 0; v < nv; ++v) {
-    const auto d = degree[static_cast<std::size_t>(v)];
-    if (d < 2) continue;
-    ++eligible;
-    local_sum += static_cast<double>(tri[static_cast<std::size_t>(v)]) /
-                 (static_cast<double>(d) * static_cast<double>(d - 1) / 2.0);
-  }
+  const std::int64_t eligible =
+      parallel_count(nv, [&](std::int64_t v) { return degree[static_cast<std::size_t>(v)] >= 2; });
+  const double local_sum = parallel_sum<double>(nv, [&](std::int64_t v) {
+    const auto d = static_cast<double>(degree[static_cast<std::size_t>(v)]);
+    const auto t = static_cast<double>(tri[static_cast<std::size_t>(v)]);
+    return d < 2 ? 0.0 : t / (d * (d - 1) / 2.0);
+  });
   if (eligible > 0) s.mean_local_clustering = local_sum / static_cast<double>(eligible);
   return s;
 }

@@ -2,9 +2,9 @@
 //
 // The paper's uk-2007-05 input has 3.3 billion edges; a getline-based
 // reader is minutes of single-threaded parsing before the first parallel
-// phase runs.  This reader slurps the file once, splits it into
-// per-thread chunks aligned to line boundaries, parses chunks
-// concurrently into thread-local edge buffers, and concatenates.
+// phase runs.  This reader slurps the file once, parses line-aligned
+// chunks concurrently into per-chunk buffers, and copies them into
+// place concurrently.
 // Produces exactly the same EdgeList as read_edge_list_text (tests
 // enforce equivalence), including '#'/'%' comment handling, optional
 // weights, and strict weight validation: nan/inf, negative, zero,
@@ -12,17 +12,16 @@
 //
 // Failures throw CommdetError (a std::runtime_error) with a structured
 // {code, phase, detail} record; data errors report a byte offset.  Each
-// thread captures its first exception; the earliest-offset one is
-// rethrown on the calling thread after the region joins.
+// chunk keeps its first exception; the earliest one is rethrown on the
+// calling thread after the first pass.
 #pragma once
-
-#include <omp.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -32,6 +31,7 @@
 #include "commdet/obs/trace.hpp"
 #include "commdet/robust/error.hpp"
 #include "commdet/robust/fault_injection.hpp"
+#include "commdet/util/parallel.hpp"
 #include "commdet/util/types.hpp"
 
 namespace commdet {
@@ -39,7 +39,8 @@ namespace commdet {
 namespace detail {
 
 /// Parses a decimal integer starting at `pos`; advances pos past it.
-/// Returns false if no digits were found.
+/// Returns false if no digits were found or the value does not fit in
+/// an int64 (the sequential reader's stream extraction fails on both).
 inline bool parse_int(const char* data, std::size_t size, std::size_t& pos,
                       std::int64_t& out) {
   while (pos < size && (data[pos] == ' ' || data[pos] == '\t')) ++pos;
@@ -49,12 +50,16 @@ inline bool parse_int(const char* data, std::size_t size, std::size_t& pos,
     ++pos;
   }
   if (pos >= size || !std::isdigit(static_cast<unsigned char>(data[pos]))) return false;
-  std::int64_t value = 0;
+  const std::uint64_t limit =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) + (negative ? 1 : 0);
+  std::uint64_t magnitude = 0;
   while (pos < size && std::isdigit(static_cast<unsigned char>(data[pos]))) {
-    value = value * 10 + (data[pos] - '0');
+    const auto digit = static_cast<std::uint64_t>(data[pos] - '0');
+    if (magnitude > (limit - digit) / 10) return false;
+    magnitude = magnitude * 10 + digit;
     ++pos;
   }
-  out = negative ? -value : value;
+  out = static_cast<std::int64_t>(negative ? 0 - magnitude : magnitude);
   return true;
 }
 
@@ -76,19 +81,18 @@ template <VertexId V>
   if (!in && size > 0) throw_error(ErrorCode::kIoRead, Phase::kInput, "read failed: " + path);
   const char* data = buffer.data();
 
-  const int num_threads = omp_get_max_threads();
-  std::vector<std::vector<RawEdge<V>>> partial(static_cast<std::size_t>(num_threads));
-  std::vector<std::int64_t> partial_max(static_cast<std::size_t>(num_threads), -1);
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(num_threads));
-  std::vector<std::size_t> error_offset(static_cast<std::size_t>(num_threads), 0);
-
-#pragma omp parallel num_threads(num_threads)
-  {
-    const int tid = omp_get_thread_num();
-    const int nthreads = omp_get_num_threads();
-    const std::size_t chunk = size / static_cast<std::size_t>(nthreads) + 1;
-    std::size_t begin = static_cast<std::size_t>(tid) * chunk;
-    std::size_t end = std::min(begin + chunk, size);
+  // Pass 1: each block parses the lines starting in it, up to its first error.
+  const int nblocks = parallel_threads();
+  struct Block {
+    std::vector<RawEdge<V>> edges;
+    std::int64_t max_id = -1;
+    std::exception_ptr error;
+  };
+  std::vector<Block> blocks(static_cast<std::size_t>(nblocks));
+  parallel_for(nblocks, [&](std::int64_t b) {
+    const std::size_t chunk = size / static_cast<std::size_t>(nblocks) + 1;
+    std::size_t begin = static_cast<std::size_t>(b) * chunk;
+    const std::size_t end = std::min(begin + chunk, size);
     // Align to line boundaries: skip the partial line at the chunk head
     // (the previous chunk parses it) and run past `end` to finish the
     // last line started inside this chunk.
@@ -96,8 +100,7 @@ template <VertexId V>
       while (begin < size && data[begin - 1] != '\n') ++begin;
     }
 
-    auto& edges = partial[static_cast<std::size_t>(tid)];
-    auto& max_id = partial_max[static_cast<std::size_t>(tid)];
+    auto& block = blocks[static_cast<std::size_t>(b)];
     std::size_t pos = begin;
     try {
       while (pos < end) {
@@ -135,43 +138,37 @@ template <VertexId V>
           throw_error(ErrorCode::kIdOverflow, Phase::kInput,
                       path + ": vertex id overflows label type near byte " +
                           std::to_string(line_start));
-        edges.push_back({static_cast<V>(u), static_cast<V>(v), w});
-        max_id = std::max({max_id, u, v});
+        block.edges.push_back({static_cast<V>(u), static_cast<V>(v), w});
+        block.max_id = std::max({block.max_id, u, v});
       }
     } catch (...) {
-      errors[static_cast<std::size_t>(tid)] = std::current_exception();
-      error_offset[static_cast<std::size_t>(tid)] = pos;
+      block.error = std::current_exception();
     }
-  }
+  });
 
-  // Rethrow the earliest failure so diagnostics are deterministic even
-  // when multiple chunks are malformed.
-  std::exception_ptr first;
-  std::size_t first_offset = 0;
-  for (std::size_t t = 0; t < errors.size(); ++t) {
-    if (errors[t] && (!first || error_offset[t] < first_offset)) {
-      first = errors[t];
-      first_offset = error_offset[t];
-    }
+  // Blocks are in byte order: the first failed block holds the earliest
+  // error, whichever thread failed first.
+  std::vector<std::size_t> offset{0};
+  std::int64_t max_id = -1;
+  for (const Block& block : blocks) {
+    if (block.error) std::rethrow_exception(block.error);
+    offset.push_back(offset.back() + block.edges.size());
+    max_id = std::max(max_id, block.max_id);
   }
-  if (first) std::rethrow_exception(first);
+  const std::size_t total = offset.back();
 
   EdgeList<V> out;
-  std::size_t total = 0;
-  std::int64_t max_id = -1;
-  for (int t = 0; t < num_threads; ++t) {
-    total += partial[static_cast<std::size_t>(t)].size();
-    max_id = std::max(max_id, partial_max[static_cast<std::size_t>(t)]);
-  }
-  out.edges.reserve(total);
-  for (int t = 0; t < num_threads; ++t)
-    out.edges.insert(out.edges.end(), partial[static_cast<std::size_t>(t)].begin(),
-                     partial[static_cast<std::size_t>(t)].end());
+  out.edges.resize(total);
   out.num_vertices = static_cast<V>(max_id + 1);
+  parallel_for(nblocks, [&](std::int64_t b) {
+    const auto& edges = blocks[static_cast<std::size_t>(b)].edges;
+    const auto at = static_cast<std::ptrdiff_t>(offset[static_cast<std::size_t>(b)]);
+    std::copy(edges.begin(), edges.end(), out.edges.begin() + at);
+  });
 
   span.attr("bytes", static_cast<std::int64_t>(size));
   span.attr("edges", static_cast<std::int64_t>(total));
-  span.attr("parser_threads", num_threads);
+  span.attr("parser_threads", nblocks);
   if (obs::Counter* c = obs::counter("io.bytes_parsed"))
     c->add(static_cast<std::int64_t>(size));
   if (obs::Counter* c = obs::counter("io.edges_parsed"))

@@ -92,40 +92,35 @@ class EdgeSweepOffers {
                std::vector<std::uint64_t>& live) {
     const auto words = static_cast<std::int64_t>(live.size());
     assert(words == (static_cast<std::int64_t>(edges.num_edges()) + 63) / 64);
-    std::int64_t visited = 0;
-    std::int64_t bids = 0;
-    std::int64_t locks = 0;
-    ExceptionCollector errors;
+    BidStats total;
     // Dynamic: the live bits thin out unevenly across the range.
-#pragma omp parallel for schedule(dynamic, 64) reduction(+ : visited, bids, locks)
-    for (std::int64_t w = 0; w < words; ++w) {
-      if (errors.armed()) continue;
-      errors.run([&] {
-        std::uint64_t& word = live[static_cast<std::size_t>(w)];
-        std::uint64_t kept = word;
-        for (std::uint64_t rest = word; rest != 0; rest &= rest - 1) {
-          const int bit = std::countr_zero(rest);
-          const auto i = static_cast<std::size_t>(w * 64 + bit);
-          ++visited;
-          const V a = edges.efirst[i];
-          const V b = edges.esecond[i];
-          // Score before mates: a stored score is a sequential load that
-          // spares non-positive edges two random mate loads.
-          const Score sc = score_of(i);
-          if (sc <= 0.0 || mate[static_cast<std::size_t>(a)] != kNoVertex<V> ||
-              mate[static_cast<std::size_t>(b)] != kNoVertex<V>) {
-            kept &= ~(std::uint64_t{1} << bit);
-            continue;
-          }
-          ++bids;
-          const auto offer = make_offer(sc, a, b);
-          locks += bid_at(a, b, offer) + bid_at(b, a, offer);
-        }
-        word = kept;
-      });
-    }
-    errors.rethrow_if_armed();
-    return BidStats{visited, bids, locks};
+    for (const BidStats& part : parallel_for_each_thread(
+             words, dynamic_schedule(64), [] { return BidStats{}; },
+             [&](BidStats& stats, std::int64_t w) {
+               std::uint64_t& word = live[static_cast<std::size_t>(w)];
+               std::uint64_t kept = word;
+               for (std::uint64_t rest = word; rest != 0; rest &= rest - 1) {
+                 const int bit = std::countr_zero(rest);
+                 const auto i = static_cast<std::size_t>(w * 64 + bit);
+                 ++stats.visited;
+                 const V a = edges.efirst[i];
+                 const V b = edges.esecond[i];
+                 // Score before mates: a stored score is a sequential load
+                 // that spares non-positive edges two random mate loads.
+                 const Score sc = score_of(i);
+                 if (sc <= 0.0 || mate[static_cast<std::size_t>(a)] != kNoVertex<V> ||
+                     mate[static_cast<std::size_t>(b)] != kNoVertex<V>) {
+                   kept &= ~(std::uint64_t{1} << bit);
+                   continue;
+                 }
+                 ++stats.bids;
+                 const auto offer = make_offer(sc, a, b);
+                 stats.locks += bid_at(a, b, offer) + bid_at(b, a, offer);
+               }
+               word = kept;
+             }))
+      total += part;
+    return total;
   }
 
   /// Matches mutual bests into `mate` and clears the slots; returns the
@@ -133,17 +128,14 @@ class EdgeSweepOffers {
   /// exists, so every sweep with a bid makes progress.
   std::int64_t reconcile(std::vector<V>& mate) {
     const auto nv = static_cast<std::int64_t>(best_partner_.size());
-    std::int64_t matched = 0;
-#pragma omp parallel for schedule(static) reduction(+ : matched)
-    for (std::int64_t u = 0; u < nv; ++u) {
+    const std::int64_t matched = parallel_count(nv, [&](std::int64_t u) {
       const V p = best_partner_[static_cast<std::size_t>(u)];
-      if (p == kNoVertex<V> || p < static_cast<V>(u)) continue;  // pair handled from the low side
-      if (best_partner_[static_cast<std::size_t>(p)] == static_cast<V>(u)) {
-        mate[static_cast<std::size_t>(u)] = p;
-        mate[static_cast<std::size_t>(p)] = static_cast<V>(u);
-        ++matched;
-      }
-    }
+      if (p == kNoVertex<V> || p < static_cast<V>(u)) return false;  // matched from the low side
+      if (best_partner_[static_cast<std::size_t>(p)] != static_cast<V>(u)) return false;
+      mate[static_cast<std::size_t>(u)] = p;
+      mate[static_cast<std::size_t>(p)] = static_cast<V>(u);
+      return true;
+    });
     parallel_for(nv, [&](std::int64_t v) {
       best_partner_[static_cast<std::size_t>(v)] = kNoVertex<V>;
       best_score_[static_cast<std::size_t>(v)] = 0.0;

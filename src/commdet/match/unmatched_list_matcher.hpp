@@ -116,41 +116,37 @@ class UnmatchedListMatcher {
       // Pass 2: claim.  u defers when the other side holds a strictly
       // better offer of its own; otherwise it takes both sides under the
       // pair's locks (ascending order, deadlock-free).
-      std::int64_t matched_this_sweep = 0;
-      ExceptionCollector errors;
-#pragma omp parallel for schedule(dynamic, 64) reduction(+ : matched_this_sweep)
-      for (std::int64_t k = 0; k < static_cast<std::int64_t>(unmatched.size()); ++k) {
-        if (errors.armed()) continue;
-        errors.run([&] {
-          const V u = unmatched[static_cast<std::size_t>(k)];
-          const V v = proposal[static_cast<std::size_t>(u)];
-          if (v == kNoVertex<V>) return;
-          const auto mine = make_offer(proposal_score[static_cast<std::size_t>(u)], u, v);
-          const V vs_target = proposal[static_cast<std::size_t>(v)];
-          if (vs_target != kNoVertex<V>) {
-            const auto theirs =
-                make_offer(proposal_score[static_cast<std::size_t>(v)], v, vs_target);
-            if (theirs.beats(mine)) {
-              if (c_deferrals != nullptr) c_deferrals->add(1);
-              return;  // let the better side act
-            }
+      const auto claim = [&](std::int64_t& matched, std::int64_t k) {
+        const V u = unmatched[static_cast<std::size_t>(k)];
+        const V v = proposal[static_cast<std::size_t>(u)];
+        if (v == kNoVertex<V>) return;
+        const auto mine = make_offer(proposal_score[static_cast<std::size_t>(u)], u, v);
+        const V vs_target = proposal[static_cast<std::size_t>(v)];
+        if (vs_target != kNoVertex<V>) {
+          const auto theirs =
+              make_offer(proposal_score[static_cast<std::size_t>(v)], v, vs_target);
+          if (theirs.beats(mine)) {
+            if (c_deferrals != nullptr) c_deferrals->add(1);
+            return;  // let the better side act
           }
-          locks.lock_pair(static_cast<std::size_t>(u), static_cast<std::size_t>(v));
-          if (mate[static_cast<std::size_t>(u)] == kNoVertex<V> &&
-              mate[static_cast<std::size_t>(v)] == kNoVertex<V>) {
-            mate[static_cast<std::size_t>(u)] = v;
-            mate[static_cast<std::size_t>(v)] = u;
-            ++matched_this_sweep;
-          } else if (c_claim_conflicts != nullptr) {
-            // Lost the race: a side was claimed between the scan and the
-            // lock — the contention the paper's sweep count amortizes.
-            c_claim_conflicts->add(1);
-          }
-          locks.unlock_pair(static_cast<std::size_t>(u), static_cast<std::size_t>(v));
-        });
-      }
-      errors.rethrow_if_armed();
-      pairs += matched_this_sweep;
+        }
+        locks.lock_pair(static_cast<std::size_t>(u), static_cast<std::size_t>(v));
+        if (mate[static_cast<std::size_t>(u)] == kNoVertex<V> &&
+            mate[static_cast<std::size_t>(v)] == kNoVertex<V>) {
+          mate[static_cast<std::size_t>(u)] = v;
+          mate[static_cast<std::size_t>(v)] = u;
+          ++matched;
+        } else if (c_claim_conflicts != nullptr) {
+          // Lost the race: a side was claimed between the scan and the lock
+          // — the contention the paper's sweep count amortizes.
+          c_claim_conflicts->add(1);
+        }
+        locks.unlock_pair(static_cast<std::size_t>(u), static_cast<std::size_t>(v));
+      };
+      for (const std::int64_t matched :
+           parallel_for_each_thread(static_cast<std::int64_t>(unmatched.size()),
+                                    dynamic_schedule(64), [] { return std::int64_t{0}; }, claim))
+        pairs += matched;
 
       // Pass 3: the claim check.  A vertex stays listed only while it is
       // unmatched and saw a potential partner this sweep.

@@ -86,12 +86,13 @@ class Engine {
   /// Per-vertex interface handed to compute().
   class Context {
    public:
-    Context(Engine& engine, V self) noexcept : engine_(engine), self_(self) {}
+    Context(Engine& engine, V self, std::int64_t& sent) noexcept
+        : engine_(engine), self_(self), sent_(sent) {}
 
     /// BSP send: delivered at the start of the next superstep.
     void send(V target, const Message& msg) {
       engine_.deliver(target, msg);
-      ++engine_.local_sent_;
+      ++sent_;
     }
 
     /// Send to every neighbor of this vertex.
@@ -117,6 +118,7 @@ class Engine {
    private:
     Engine& engine_;
     V self_;
+    std::int64_t& sent_;  // this thread's messages sent this superstep
   };
 
   /// Runs to global quiescence (all halted, no messages in flight) or
@@ -135,29 +137,23 @@ class Engine {
 
     for (superstep_ = 0; superstep_ < opts.max_supersteps; ++superstep_) {
       // A vertex is active in superstep 0, or when its inbox is nonempty.
-      std::int64_t active = 0;
-      std::int64_t sent = 0;
-      ExceptionCollector errors;
-#pragma omp parallel reduction(+ : active, sent)
-      {
-        local_sent_ = 0;
-#pragma omp for schedule(dynamic, 128)
-        for (std::int64_t v = 0; v < nv_; ++v) {
-          if (errors.armed()) continue;
-          errors.run([&] {
-            const auto vi = static_cast<std::size_t>(v);
-            const bool has_mail = !inbox_[vi].empty();
-            if (superstep_ > 0 && halted_[vi] != 0 && !has_mail) return;
-            halted_[vi] = 0;
-            ++active;
-            Context ctx(*this, static_cast<V>(v));
-            program_.compute(ctx, static_cast<V>(v), values_[vi],
-                             std::span<const Message>(inbox_[vi]));
-          });
-        }
-        sent += local_sent_;
+      struct Tally { std::int64_t active = 0, sent = 0; };
+      const auto compute = [&](Tally& tally, std::int64_t v) {
+        const auto vi = static_cast<std::size_t>(v);
+        const bool has_mail = !inbox_[vi].empty();
+        if (superstep_ > 0 && halted_[vi] != 0 && !has_mail) return;
+        halted_[vi] = 0;
+        ++tally.active;
+        Context ctx(*this, static_cast<V>(v), tally.sent);
+        program_.compute(ctx, static_cast<V>(v), values_[vi],
+                         std::span<const Message>(inbox_[vi]));
+      };
+      std::int64_t active = 0, sent = 0;
+      for (const Tally& t : parallel_for_each_thread(nv_, dynamic_schedule(128),
+                                                     [] { return Tally{}; }, compute)) {
+        active += t.active;
+        sent += t.sent;
       }
-      errors.rethrow_if_armed();
       stats.messages_sent += sent;
       ++stats.supersteps;
       if (c_messages != nullptr) c_messages->add(sent);
@@ -214,11 +210,6 @@ class Engine {
   SpinlockTable locks_;
   std::vector<std::uint8_t> halted_;
   int superstep_ = 0;
-  static thread_local std::int64_t local_sent_;
 };
-
-template <VertexId V, typename Program>
-  requires VertexProgram<Program, V>
-thread_local std::int64_t Engine<V, Program>::local_sent_ = 0;
 
 }  // namespace commdet::pregel

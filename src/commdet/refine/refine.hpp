@@ -65,14 +65,11 @@ template <VertexId V>
     }
     std::atomic_ref<double>(volume[c]).fetch_add(vol, std::memory_order_relaxed);
   });
-  double q = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : q)
-  for (std::int64_t c = 0; c < nv; ++c) {
+  return parallel_sum<double>(nv, [&](std::int64_t c) {
     const auto ci = static_cast<std::size_t>(c);
     const double vol = volume[ci] / (2.0 * w_total);
-    q += internal[ci] / w_total - vol * vol;
-  }
-  return q;
+    return internal[ci] / w_total - vol * vol;
+  });
 }
 
 }  // namespace detail
@@ -106,69 +103,64 @@ RefineStats refine_partition(const CommunityGraph<V>& g, std::vector<V>& labels,
   std::vector<V> proposed(static_cast<std::size_t>(nv));
   for (int round = 0; round < opts.max_rounds; ++round) {
     // Propose: best neighbor community per vertex, from snapshot volumes.
-    std::int64_t proposals = 0;
-    ExceptionCollector errors;
-#pragma omp parallel reduction(+ : proposals)
-    {
+    struct Proposer {
       std::unordered_map<std::int64_t, double> weight_to;
-#pragma omp for schedule(dynamic, 256)
-      for (std::int64_t v = 0; v < nv; ++v) {
-        if (errors.armed()) continue;
-        errors.run([&] {
-          const auto vi = static_cast<std::size_t>(v);
-          const V home = labels[vi];
-          proposed[vi] = home;
-          const auto nbrs = csr.neighbors_of(static_cast<V>(v));
-          const auto wts = csr.weights_of(static_cast<V>(v));
-          if (nbrs.empty()) return;
-          weight_to.clear();
-          weight_to[static_cast<std::int64_t>(home)];
-          for (std::size_t k = 0; k < nbrs.size(); ++k)
-            weight_to[static_cast<std::int64_t>(labels[static_cast<std::size_t>(nbrs[k])])] +=
-                static_cast<double>(wts[k]);
+      std::int64_t proposals = 0;
+    };
+    const auto propose = [&](Proposer& t, std::int64_t v) {
+      const auto vi = static_cast<std::size_t>(v);
+      const V home = labels[vi];
+      proposed[vi] = home;
+      const auto nbrs = csr.neighbors_of(static_cast<V>(v));
+      const auto wts = csr.weights_of(static_cast<V>(v));
+      if (nbrs.empty()) return;
+      t.weight_to.clear();
+      t.weight_to[static_cast<std::int64_t>(home)];
+      for (std::size_t k = 0; k < nbrs.size(); ++k)
+        t.weight_to[static_cast<std::int64_t>(labels[static_cast<std::size_t>(nbrs[k])])] +=
+            static_cast<double>(wts[k]);
 
-          const double vol_v = vertex_vol[vi];
-          const double home_vol =
-              comm_vol[static_cast<std::size_t>(home)] - vol_v;  // v removed
-          double best_gain =
-              weight_to[static_cast<std::int64_t>(home)] / w_total -
-              home_vol * vol_v / (2.0 * w_total * w_total);
-          V best = home;
-          for (const auto& [c, k_vc] : weight_to) {
-            if (c == static_cast<std::int64_t>(home)) continue;
-            const double gain =
-                k_vc / w_total -
-                comm_vol[static_cast<std::size_t>(c)] * vol_v / (2.0 * w_total * w_total);
-            if (gain > best_gain + opts.min_gain) {
-              best_gain = gain;
-              best = static_cast<V>(c);
-            }
-          }
-          if (best != home) {
-            proposed[vi] = best;
-            ++proposals;
-          }
-        });
+      const double vol_v = vertex_vol[vi];
+      const double home_vol =
+          comm_vol[static_cast<std::size_t>(home)] - vol_v;  // v removed
+      double best_gain =
+          t.weight_to[static_cast<std::int64_t>(home)] / w_total -
+          home_vol * vol_v / (2.0 * w_total * w_total);
+      V best = home;
+      for (const auto& [c, k_vc] : t.weight_to) {
+        if (c == static_cast<std::int64_t>(home)) continue;
+        const double gain =
+            k_vc / w_total -
+            comm_vol[static_cast<std::size_t>(c)] * vol_v / (2.0 * w_total * w_total);
+        if (gain > best_gain + opts.min_gain) {
+          best_gain = gain;
+          best = static_cast<V>(c);
+        }
       }
-    }
-    errors.rethrow_if_armed();
+      if (best != home) {
+        proposed[vi] = best;
+        ++t.proposals;
+      }
+    };
+    std::int64_t proposals = 0;
+    for (const Proposer& t : parallel_for_each_thread(nv, dynamic_schedule(256),
+                                                      [] { return Proposer{}; }, propose))
+      proposals += t.proposals;
     if (proposals == 0) break;
 
     // Apply the round tentatively, then keep it only if the true
     // modularity improved (simultaneous moves can conflict).
     std::vector<V> backup(labels);
-    std::int64_t applied = 0;
-#pragma omp parallel for schedule(static) reduction(+ : applied)
-    for (std::int64_t v = 0; v < nv; ++v) {
+    const std::int64_t applied = parallel_count(nv, [&](std::int64_t v) {
       const auto vi = static_cast<std::size_t>(v);
-      if (proposed[vi] == labels[vi]) continue;
+      if (proposed[vi] == labels[vi]) return false;
       std::atomic_ref<double>(comm_vol[static_cast<std::size_t>(labels[vi])])
           .fetch_add(-vertex_vol[vi], std::memory_order_relaxed);
       std::atomic_ref<double>(comm_vol[static_cast<std::size_t>(proposed[vi])])
           .fetch_add(vertex_vol[vi], std::memory_order_relaxed);
       labels[vi] = proposed[vi];
-      ++applied;
-    }
+      return true;
+    });
     const double q = detail::csr_modularity(csr, std::span<const V>(labels), w_total);
     if (q <= stats.modularity_after + opts.min_gain) {
       // Revert the round: restore labels and volumes.

@@ -4,6 +4,7 @@
 // block without materializing the array.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -48,31 +49,27 @@ template <EdgeRange E, VertexState G, EdgeScorer S>
 ScoreSummary score_edges(const E& edges, const G& g, const S& scorer,
                          std::span<Score> scores) {
   const EdgeId ne = edges.num_edges();
-  ExceptionCollector errors;
-  EdgeId positive = 0;
-  Score max_score = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : positive) reduction(max : max_score)
-  for (EdgeId e = 0; e < ne; ++e) {
-    if (errors.armed()) continue;
-    errors.run([&] {
-      const auto i = static_cast<std::size_t>(e);
-      const Score s = scorer.score(edge_context(edges, g, i));
-      if (!scores.empty()) scores[i] = s;
-      if (s > 0.0) {
-        ++positive;
-        if (s > max_score) max_score = s;
-      }
-    });
+  ScoreSummary sum;
+  for (const ScoreSummary& part : parallel_for_each_thread(
+           ne, kStaticSchedule, [] { return ScoreSummary{}; }, [&](ScoreSummary& acc, EdgeId e) {
+             const auto i = static_cast<std::size_t>(e);
+             const Score s = scorer.score(edge_context(edges, g, i));
+             if (!scores.empty()) scores[i] = s;
+             if (s > 0.0) {
+               ++acc.positive_edges;
+               if (s > acc.max_score) acc.max_score = s;
+             }
+           })) {
+    sum.positive_edges += part.positive_edges;
+    sum.max_score = std::max(sum.max_score, part.max_score);
   }
-  errors.rethrow_if_armed();
 
   // Phase-granularity metrics: the per-edge work is already reduced by
-  // the OpenMP loop above, so one add per call suffices (and costs
-  // nothing when no registry is installed).
+  // the loop above, so one add per call suffices (and costs nothing when
+  // no registry is installed).
   if (obs::Counter* c = obs::counter("score.edges_scored")) c->add(ne);
-  if (obs::Counter* c = obs::counter("score.positive_edges")) c->add(positive);
-
-  return {positive, max_score};
+  if (obs::Counter* c = obs::counter("score.positive_edges")) c->add(sum.positive_edges);
+  return sum;
 }
 
 /// Fills `scores[e]` for every edge of g.  `scores` is resized to match.

@@ -453,28 +453,27 @@ class ShardedGraphBuilder {
     counts_.assign(static_cast<std::size_t>(nv) + 1, 0);
   }
 
-  /// Phase 1: histogram one chunk (validates endpoints and weights).
+  /// Phase 1: validates one chunk, then histograms it in chunk-private
+  /// arrays holding at most one slot per edge.
   void count_edges(std::span<const RawEdge<V>> chunk) {
     if (ranged_) throw std::logic_error("count_edges after finalize_ranges");
-    std::atomic<bool> bad_endpoint{false};
-    std::atomic<bool> bad_weight{false};
-    parallel_for(static_cast<std::int64_t>(chunk.size()), [&](std::int64_t i) {
+    const auto n = static_cast<std::int64_t>(chunk.size());
+    // A bad endpoint (2) outranks a bad weight (1) wherever each lies.
+    const int bad = parallel_max(n, 0, [&](std::int64_t i) {
       const auto& e = chunk[static_cast<std::size_t>(i)];
-      if (e.u < 0 || e.u >= nv_ || e.v < 0 || e.v >= nv_) {
-        bad_endpoint.store(true, std::memory_order_relaxed);
-        return;
-      }
-      if (e.w <= 0) {
-        bad_weight.store(true, std::memory_order_relaxed);
-        return;
-      }
-      if (e.u == e.v) return;
-      const auto [f, s] = hashed_edge_order(e.u, e.v);
-      std::atomic_ref<EdgeId>(counts_[static_cast<std::size_t>(f)])
-          .fetch_add(1, std::memory_order_relaxed);
+      if (e.u < 0 || e.u >= nv_ || e.v < 0 || e.v >= nv_) return 2;
+      return e.w <= 0 ? 1 : 0;
     });
-    if (bad_endpoint.load()) throw std::invalid_argument("edge endpoint out of range");
-    if (bad_weight.load()) throw std::invalid_argument("edge weight must be positive");
+    if (bad == 2) throw std::invalid_argument("edge endpoint out of range");
+    if (bad == 1) throw std::invalid_argument("edge weight must be positive");
+    const auto count = [&](std::int64_t begin, std::int64_t end, const auto& acc) {
+      for (const auto& e : chunk.subspan(static_cast<std::size_t>(begin),
+                                         static_cast<std::size_t>(end - begin)))
+        if (e.u != e.v) ++acc[0][static_cast<std::size_t>(hashed_edge_order(e.u, e.v).first)];
+    };
+    parallel_chunk_add(n, std::clamp<std::int64_t>(n / (static_cast<std::int64_t>(nv_) + 1), 1,
+                                                   parallel_threads()),
+                       std::array{std::span<EdgeId>(counts_)}, count);
   }
 
   void finalize_ranges() {
@@ -523,8 +522,7 @@ class ShardedGraphBuilder {
     // accumulated per shard, the self term lands here.
     parallel_for(static_cast<std::int64_t>(nv_), [&](std::int64_t v) {
       const auto i = static_cast<std::size_t>(v);
-      std::atomic_ref<Weight>(graph_.volume[i])
-          .fetch_add(2 * graph_.self_weight[i], std::memory_order_relaxed);
+      graph_.volume[i] += 2 * graph_.self_weight[i];
     });
     ranged_ = false;
     return std::move(graph_);

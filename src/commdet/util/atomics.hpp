@@ -1,23 +1,15 @@
-// Thin helpers over std::atomic_ref for lock-free updates on plain arrays.
+// Thin helpers over std::atomic_ref for lock-free access to plain arrays.
 //
-// The contraction and matching kernels update shared arrays with
-// fetch-and-add and monotonic max operations; std::atomic_ref (C++20)
-// lets the arrays stay plain std::vectors in the sequential parts of the
-// code, matching the paper's "atomic fetch-and-add only" synchronization
-// story for contraction (Sec. IV-C).
+// std::atomic_ref (C++20) lets shared arrays stay plain std::vectors in
+// the sequential parts of the code; the matcher reads mates concurrently
+// with the claims that set them through atomic_load.  Counts and sums
+// merge through chunk-private arrays instead (util/parallel.hpp).
 #pragma once
 
 #include <atomic>
 #include <type_traits>
 
 namespace commdet {
-
-template <typename T>
-  requires std::is_integral_v<T>
-inline T atomic_fetch_add(T& location, T delta,
-                          std::memory_order order = std::memory_order_relaxed) noexcept {
-  return std::atomic_ref<T>(location).fetch_add(delta, order);
-}
 
 template <typename T>
   requires std::is_integral_v<T>
@@ -37,40 +29,6 @@ template <typename T>
 inline bool atomic_cas(T& location, T& expected, T desired,
                        std::memory_order order = std::memory_order_acq_rel) noexcept {
   return std::atomic_ref<T>(location).compare_exchange_strong(expected, desired, order);
-}
-
-/// Monotonic maximum: location = max(location, value).  Returns true when
-/// `value` became the new maximum.
-template <typename T>
-inline bool atomic_fetch_max(T& location, T value,
-                             std::memory_order order = std::memory_order_acq_rel) noexcept {
-  std::atomic_ref<T> ref(location);
-  T current = ref.load(std::memory_order_relaxed);
-  while (current < value) {
-    if (ref.compare_exchange_weak(current, value, order)) return true;
-  }
-  return false;
-}
-
-/// Monotonic minimum: location = min(location, value).
-template <typename T>
-inline bool atomic_fetch_min(T& location, T value,
-                             std::memory_order order = std::memory_order_acq_rel) noexcept {
-  std::atomic_ref<T> ref(location);
-  T current = ref.load(std::memory_order_relaxed);
-  while (current > value) {
-    if (ref.compare_exchange_weak(current, value, order)) return true;
-  }
-  return false;
-}
-
-/// Atomic add for floating-point accumulators (CAS loop).
-inline void atomic_add_double(double& location, double delta) noexcept {
-  std::atomic_ref<double> ref(location);
-  double current = ref.load(std::memory_order_relaxed);
-  while (!ref.compare_exchange_weak(current, current + delta,
-                                    std::memory_order_acq_rel)) {
-  }
 }
 
 }  // namespace commdet

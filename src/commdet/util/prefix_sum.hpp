@@ -2,61 +2,46 @@
 //
 // Contraction stores buckets contiguously, which "requires synchronizing
 // on a prefix sum to compute bucket offsets" (Sec. IV-C).  This is that
-// prefix sum: each thread scans a block, block totals are scanned
-// sequentially (tiny), then each block is rebased.
+// prefix sum: each thread scans one block of at least 8192 values, the
+// calling thread scans the block totals, then each block is rebased.
 #pragma once
 
-#include <omp.h>
-
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
+
+#include "commdet/util/parallel.hpp"
 
 namespace commdet {
 
 /// In-place exclusive prefix sum.  Returns the total of all inputs.
 template <typename T>
 T exclusive_prefix_sum(std::span<T> values) {
-  const std::int64_t n = static_cast<std::int64_t>(values.size());
+  const auto n = static_cast<std::int64_t>(values.size());
   if (n == 0) return T{};
+  const std::int64_t nblocks = std::clamp<std::int64_t>(n >> 13, 1, parallel_threads());
+  const auto begin = [&](std::int64_t b) { return static_cast<std::size_t>(n * b / nblocks); };
+  std::vector<T> block_total(static_cast<std::size_t>(nblocks) + 1, T{});
 
-  const int max_threads = omp_get_max_threads();
-  std::vector<T> block_totals(static_cast<std::size_t>(max_threads) + 1, T{});
-  int used_threads = 1;
-
-#pragma omp parallel
-  {
-    const int tid = omp_get_thread_num();
-    const int nthreads = omp_get_num_threads();
-#pragma omp single
-    used_threads = nthreads;
-
-    const std::int64_t chunk = (n + nthreads - 1) / nthreads;
-    const std::int64_t begin = tid * chunk;
-    const std::int64_t end = begin + chunk < n ? begin + chunk : n;
-
-    // Pass 1: local exclusive scan of this thread's block.
+  // Pass 1: local exclusive scan of each block.
+  parallel_for(nblocks, [&](std::int64_t b) {
     T running{};
-    for (std::int64_t i = begin; i < end; ++i) {
-      const T value = values[static_cast<std::size_t>(i)];
-      values[static_cast<std::size_t>(i)] = running;
+    for (std::size_t i = begin(b), end = begin(b + 1); i < end; ++i) {
+      const T value = values[i];
+      values[i] = running;
       running += value;
     }
-    block_totals[static_cast<std::size_t>(tid) + 1] = running;
+    block_total[static_cast<std::size_t>(b) + 1] = running;
+  });
+  for (std::size_t b = 1; b < block_total.size(); ++b) block_total[b] += block_total[b - 1];
 
-#pragma omp barrier
-#pragma omp single
-    {
-      for (int t = 1; t <= nthreads; ++t) block_totals[t] += block_totals[t - 1];
-    }
-
-    // Pass 2: rebase the block by the sum of all preceding blocks.
-    const T base = block_totals[static_cast<std::size_t>(tid)];
-    for (std::int64_t i = begin; i < end; ++i)
-      values[static_cast<std::size_t>(i)] += base;
-  }
-
-  return block_totals[static_cast<std::size_t>(used_threads)];
+  // Pass 2: rebase each block by the sum of all preceding blocks.
+  parallel_for(nblocks, [&](std::int64_t b) {
+    const T base = block_total[static_cast<std::size_t>(b)];
+    for (std::size_t i = begin(b), end = begin(b + 1); i < end; ++i) values[i] += base;
+  });
+  return block_total.back();
 }
 
 }  // namespace commdet

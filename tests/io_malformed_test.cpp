@@ -131,6 +131,11 @@ TEST_F(IoMalformedTest, ParallelTextMatchesSequentialRejections) {
       {"foo bar\n", ErrorCode::kIoParse},
       {"0 -1\n", ErrorCode::kBadEndpoint},
       {"0 4294967296\n", ErrorCode::kIdOverflow},
+      // Ids past int64: the stream extraction fails, so both readers
+      // reject the line as unparsable (no wrap-around, no overflow).
+      {"0 18446744073709551617\n", ErrorCode::kIoParse},
+      {"0 99999999999999999999\n", ErrorCode::kIoParse},
+      {"0 9223372036854775808\n", ErrorCode::kIoParse},
   };
   int i = 0;
   for (const auto& c : corpus) {

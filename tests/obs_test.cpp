@@ -4,8 +4,6 @@
 // TSan targets wired into scripts/check_sanitizers.sh), resource probes,
 // the JSON writer/validator, and the versioned run-report schema.
 #include <gtest/gtest.h>
-
-#include <omp.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -35,6 +33,7 @@
 #include "commdet/platform/platform_info.hpp"
 #include "commdet/score/scorers.hpp"
 #include "commdet/shard/shard_detect.hpp"
+#include "commdet/util/parallel.hpp"
 
 namespace commdet {
 namespace {
@@ -218,42 +217,27 @@ TEST(ObsMetrics, FreeFunctionsResolveOnlyWhenInstalled) {
 TEST(ObsMetricsConcurrent, ShardedCounterMergesAllThreads) {
   obs::MetricsRegistry reg;
   obs::Counter& c = reg.counter("hot");
-  constexpr std::int64_t kPerThread = 20000;
-  std::int64_t threads = 0;
-#pragma omp parallel
-  {
-#pragma omp single
-    threads = omp_get_num_threads();
-    for (std::int64_t i = 0; i < kPerThread; ++i) c.add(1);
-  }
-  EXPECT_EQ(c.value(), threads * kPerThread);
+  const std::int64_t n = 20000 * std::int64_t{parallel_threads()};
+  parallel_for(n, [&](std::int64_t) { c.add(1); });
+  EXPECT_EQ(c.value(), n);
 }
 
 TEST(ObsMetricsConcurrent, GaugeKeepsGlobalMax) {
   obs::MetricsRegistry reg;
   obs::Gauge& g = reg.gauge("hwm");
-  int threads = 0;
-#pragma omp parallel
-  {
-#pragma omp single
-    threads = omp_get_num_threads();
-    const int tid = omp_get_thread_num();
-    for (int i = 0; i < 1000; ++i) g.record(tid * 1000 + i);
-  }
-  EXPECT_EQ(g.value(), (threads - 1) * 1000 + 999);
+  const std::int64_t n = 1000 * std::int64_t{parallel_threads()};
+  parallel_for(n, [&](std::int64_t i) { g.record(i); });
+  EXPECT_EQ(g.value(), n - 1);
 }
 
 TEST(ObsMetricsConcurrent, ConcurrentRegistryLookupsAreSafe) {
   obs::MetricsRegistry reg;
-  int threads = 0;
-#pragma omp parallel
-  {
-#pragma omp single
-    threads = omp_get_num_threads();
+  const int threads = parallel_threads();
+  parallel_for(threads, [&](std::int64_t t) {
     // Same-name lookups race on the registry map; each add must land.
     reg.counter("shared").add(1);
-    reg.counter("t" + std::to_string(omp_get_thread_num())).add(1);
-  }
+    reg.counter("t" + std::to_string(t)).add(1);
+  });
   const auto snap = reg.snapshot();
   EXPECT_EQ(snap.at("shared"), threads);
   EXPECT_EQ(static_cast<int>(snap.size()), 1 + threads);

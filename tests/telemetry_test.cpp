@@ -1,5 +1,5 @@
 // Telemetry-layer tests: the sharded log2 histogram (bucket geometry,
-// percentile edge cases, and an OpenMP merge property test against a
+// percentile edge cases, and a parallel-loop merge property test against a
 // serial reference — the concurrent suite doubles as a TSan target in
 // scripts/check_sanitizers.sh), the bounded JSONL event log (rotation,
 // torn tails, install slot), the TelemetryHub renderings (Prometheus
@@ -7,8 +7,6 @@
 // the METRICS protocol verb answered in-process by writer and follower
 // sessions, including the slow-query and batch event paths.
 #include <gtest/gtest.h>
-
-#include <omp.h>
 
 #include <atomic>
 #include <cstdint>
@@ -32,6 +30,7 @@
 #include "commdet/serve/follower.hpp"
 #include "commdet/serve/service.hpp"
 #include "commdet/serve/session.hpp"
+#include "commdet/util/parallel.hpp"
 
 namespace commdet {
 namespace {
@@ -156,12 +155,12 @@ TEST(TelemetryHistogram, SnapshotMergeIsExact) {
   EXPECT_EQ(sa.buckets[obs::HistogramSnapshot::bucket_index(700)], 2);
 }
 
-// Property test: concurrent recording from an OpenMP region merges to
+// Property test: concurrent recording from a parallel loop merges to
 // exactly the counts a serial reference computes from the same values.
 // This suite runs under TSan via scripts/check_sanitizers.sh.
 TEST(TelemetryHistogramConcurrent, ParallelRecordMatchesSerialReference) {
   constexpr int kPerThread = 20000;
-  const int threads = std::max(2, omp_get_max_threads());
+  const int threads = std::max(2, parallel_threads());
   std::vector<std::vector<std::int64_t>> values(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) {
     std::mt19937_64 rng(0xC0FFEE + static_cast<std::uint64_t>(t));
@@ -175,19 +174,10 @@ TEST(TelemetryHistogramConcurrent, ParallelRecordMatchesSerialReference) {
     }
   }
 
-  // The gomp join barrier is futex-based and invisible to an
-  // uninstrumented-libgomp TSan build, so each worker publishes its
-  // completion with a release increment and the main thread acquires
-  // all of them — the happens-before edge TSan can actually see.
-  std::atomic<int> finished{0};
   obs::Histogram h;
-#pragma omp parallel num_threads(threads)
-  {
-    const auto& mine = values[static_cast<std::size_t>(omp_get_thread_num())];
-    for (const std::int64_t v : mine) h.record(v);
-    finished.fetch_add(1, std::memory_order_release);
-  }
-  while (finished.load(std::memory_order_acquire) < threads) {}
+  parallel_for(threads, [&](std::int64_t t) {
+    for (const std::int64_t v : values[static_cast<std::size_t>(t)]) h.record(v);
+  });
 
   obs::HistogramSnapshot expect;
   for (const auto& vs : values)
@@ -209,9 +199,8 @@ TEST(TelemetryHistogramConcurrent, RegistryHistogramSharedAcrossThreads) {
   obs::MetricsRegistry reg;
   obs::MetricsSession session(reg);
   ASSERT_NE(obs::histogram("t.lat_us"), nullptr);
-  // std::thread rather than an OpenMP region: gomp dispatches work to
-  // pooled threads through a barrier TSan cannot see, while
-  // pthread_create/join carry the happens-before edges natively.
+  // Plain std::threads: recorders outside any OpenMP team share the
+  // registry's histogram too.
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t)
     workers.emplace_back([] {

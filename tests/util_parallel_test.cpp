@@ -1,16 +1,19 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "commdet/util/atomics.hpp"
 #include "commdet/util/compact.hpp"
-#include "commdet/util/histogram.hpp"
 #include "commdet/util/parallel.hpp"
 #include "commdet/util/prefix_sum.hpp"
 #include "commdet/util/rng.hpp"
@@ -19,9 +22,35 @@
 namespace commdet {
 namespace {
 
+/// Runs `f` with the OpenMP thread count set to each of `counts`, then
+/// restores it.
+template <typename F>
+void at_threads(std::initializer_list<int> counts, F&& f) {
+  const int saved = omp_get_max_threads();
+  for (const int t : counts) {
+    SCOPED_TRACE("threads=" + std::to_string(t));
+    omp_set_num_threads(t);
+    f();
+  }
+  omp_set_num_threads(saved);
+}
+
+/// Expects `f` to throw std::runtime_error carrying `message`.
+template <typename F>
+void expect_rethrown(F&& f, const char* message) {
+  try {
+    f();
+    ADD_FAILURE() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), message);
+  }
+}
+
 TEST(ParallelFor, VisitsEveryIndexOnce) {
   std::vector<std::int64_t> hits(1000, 0);
-  parallel_for(1000, [&](std::int64_t i) { atomic_fetch_add(hits[static_cast<std::size_t>(i)], std::int64_t{1}); });
+  parallel_for(1000, [&](std::int64_t i) {
+    std::atomic_ref<std::int64_t>(hits[static_cast<std::size_t>(i)]).fetch_add(1);
+  });
   EXPECT_TRUE(std::all_of(hits.begin(), hits.end(), [](auto h) { return h == 1; }));
 }
 
@@ -112,9 +141,95 @@ TEST(ParallelExceptions, WorkAfterFailedRegionStillRuns) {
     parallel_for(100, [](std::int64_t) { throw std::runtime_error("x"); });
   } catch (const std::runtime_error&) {
   }
-  std::int64_t total = 0;
-  parallel_for(1000, [&](std::int64_t) { atomic_fetch_add(total, std::int64_t{1}); });
-  EXPECT_EQ(total, 1000);
+  EXPECT_EQ(parallel_count(1000, [](std::int64_t) { return true; }), 1000);
+}
+
+// The primitives built on the helpers contain throws too, at 4 threads
+// and on inputs large enough to open regions.
+TEST(ParallelExceptions, ParallelSortThrowingComparatorRethrows) {
+  at_threads({4}, [] {
+    std::vector<int> values(1 << 18);
+    std::iota(values.rbegin(), values.rend(), 0);
+    expect_rethrown([&] {
+      parallel_sort(values.begin(), values.end(), [](int a, int b) {
+        if (a == 12345 || b == 12345) throw std::runtime_error("comparator");
+        return a < b;
+      });
+    }, "comparator");
+  });
+}
+
+TEST(ParallelExceptions, ParallelCompactThrowingPredicateOrMapRethrows) {
+  at_threads({4}, [] {
+    std::vector<int> input(1 << 18);
+    std::iota(input.begin(), input.end(), 0);
+    expect_rethrown([&] {
+      (void)parallel_compact(std::span<const int>(input), [](int v) {
+        if (v == 200000) throw std::runtime_error("predicate");
+        return v % 2 == 0;
+      });
+    }, "predicate");
+    expect_rethrown([&] {
+      (void)parallel_compact(std::span<const int>(input), [](int v) { return v % 2 == 0; },
+                             [](int v) {
+                               if (v == 100000) throw std::runtime_error("map");
+                               return v;
+                             });
+    }, "map");
+  });
+}
+
+TEST(ParallelExceptions, PerThreadStateFactoryOrBodyRethrows) {
+  at_threads({4}, [] {
+    expect_rethrown([] {
+      (void)parallel_for_each_thread(
+          1000, kStaticSchedule,
+          []() -> std::int64_t { throw std::runtime_error("factory"); },
+          [](std::int64_t& acc, std::int64_t i) { acc += i; });
+    }, "factory");
+    expect_rethrown([] {
+      (void)parallel_for_each_thread(
+          1000, dynamic_schedule(8), [] { return std::int64_t{0}; },
+          [](std::int64_t& acc, std::int64_t i) {
+            if (i == 777) throw std::runtime_error("body");
+            acc += i;
+          });
+    }, "body");
+  });
+}
+
+TEST(ParallelExceptions, ChunkPrivateBodyRethrows) {
+  at_threads({4}, [] {
+    std::vector<std::int64_t> out(16, 0);
+    expect_rethrown([&] {
+      parallel_chunk_add(1000, 4, std::array{std::span<std::int64_t>(out)},
+                         [](std::int64_t begin, std::int64_t, const auto&) {
+                           if (begin > 0) throw std::runtime_error("chunk");
+                         });
+    }, "chunk");
+  });
+}
+
+TEST(ParallelForEachThread, ReturnsOneStatePerThreadSummingToTheSerialResult) {
+  at_threads({1, 3, 4}, [] {
+    const std::int64_t n = 100000;
+    for (const Schedule schedule : {kStaticSchedule, dynamic_schedule(64)}) {
+      const auto states = parallel_for_each_thread(
+          n, schedule, [] { return std::pair<std::int64_t, std::int64_t>{0, 0}; },
+          [](auto& acc, std::int64_t i) {
+            acc.first += i;
+            ++acc.second;
+          });
+      EXPECT_LE(states.size(), static_cast<std::size_t>(omp_get_max_threads()));
+      std::int64_t sum = 0, count = 0;
+      for (const auto& [s, c] : states) {
+        sum += s;
+        count += c;
+      }
+      EXPECT_EQ(sum, n * (n - 1) / 2);
+      EXPECT_EQ(count, n);
+    }
+  });
 }
 
 TEST(ExceptionCollector, ManualUseCapturesFirstOnly) {
@@ -149,37 +264,52 @@ TEST_P(PrefixSumSweep, ExclusiveMatchesSerialReference) {
   std::exclusive_scan(values.begin(), values.end(), expected.begin(), std::int64_t{0});
   const std::int64_t expected_total = std::reduce(values.begin(), values.end(), std::int64_t{0});
 
-  const auto total = exclusive_prefix_sum(std::span<std::int64_t>(values));
-  EXPECT_EQ(total, expected_total);
-  EXPECT_EQ(values, expected);
+  at_threads({1, 3, 4}, [&] {
+    auto work = values;
+    EXPECT_EQ(exclusive_prefix_sum(std::span<std::int64_t>(work)), expected_total);
+    EXPECT_EQ(work, expected);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PrefixSumSweep,
                          ::testing::Values<std::int64_t>(0, 1, 2, 7, 64, 1000, 65537));
 
 TEST(Compact, PreservesOrderOfSurvivors) {
-  std::vector<int> input(10000);
+  std::vector<int> input(100000);  // several blocks of at least 8192
   std::iota(input.begin(), input.end(), 0);
-  const auto kept =
-      parallel_compact(std::span<const int>(input), [](int v) { return v % 7 == 0; });
-  ASSERT_FALSE(kept.empty());
-  for (std::size_t i = 0; i < kept.size(); ++i)
-    EXPECT_EQ(kept[i], static_cast<int>(i) * 7);
+  at_threads({1, 3, 4}, [&] {
+    const auto kept =
+        parallel_compact(std::span<const int>(input), [](int v) { return v % 7 == 0; });
+    ASSERT_EQ(kept.size(), 14286u);
+    for (std::size_t i = 0; i < kept.size(); ++i)
+      EXPECT_EQ(kept[i], static_cast<int>(i) * 7);
+  });
 }
 
 TEST(Compact, EmptyInputAndNoSurvivors) {
-  const std::vector<int> empty;
-  EXPECT_TRUE(parallel_compact(std::span<const int>(empty), [](int) { return true; }).empty());
-  const std::vector<int> all{1, 2, 3};
-  EXPECT_TRUE(parallel_compact(std::span<const int>(all), [](int) { return false; }).empty());
+  at_threads({1, 3, 4}, [] {
+    const std::vector<int> empty;
+    EXPECT_TRUE(
+        parallel_compact(std::span<const int>(empty), [](int) { return true; }).empty());
+    const std::vector<int> all{1, 2, 3};
+    EXPECT_TRUE(parallel_compact(std::span<const int>(all), [](int) { return false; }).empty());
+  });
 }
 
 TEST(Histogram, CountsKeys) {
   std::vector<std::int32_t> keys;
   for (int k = 0; k < 10; ++k)
     for (int c = 0; c <= k; ++c) keys.push_back(k);
-  const auto counts = parallel_histogram(std::span<const std::int32_t>(keys), 10);
-  for (int k = 0; k < 10; ++k) EXPECT_EQ(counts[static_cast<std::size_t>(k)], k + 1);
+  const auto count = [&](std::int64_t begin, std::int64_t end, const auto& acc) {
+    for (auto i = static_cast<std::size_t>(begin); i < static_cast<std::size_t>(end); ++i)
+      ++acc[0][static_cast<std::size_t>(keys[i])];
+  };
+  for (const std::int64_t nchunks : {1, 3, 55}) {
+    std::vector<std::int64_t> counts(10, 0);
+    parallel_chunk_add(static_cast<std::int64_t>(keys.size()), nchunks,
+                       std::array{std::span<std::int64_t>(counts)}, count);
+    for (int k = 0; k < 10; ++k) EXPECT_EQ(counts[static_cast<std::size_t>(k)], k + 1);
+  }
 }
 
 class SortSweep : public ::testing::TestWithParam<std::int64_t> {};
@@ -191,8 +321,46 @@ TEST_P(SortSweep, MatchesStdSort) {
   for (std::int64_t i = 0; i < n; ++i) values[static_cast<std::size_t>(i)] = rng.at(static_cast<std::uint64_t>(i));
   auto expected = values;
   std::sort(expected.begin(), expected.end());
-  parallel_sort(values.begin(), values.end());
-  EXPECT_EQ(values, expected);
+  at_threads({1, 3, 4}, [&] {
+    auto work = values;
+    parallel_sort(work.begin(), work.end());
+    EXPECT_EQ(work, expected);
+  });
+}
+
+/// The merge sort parallel_sort runs, written serially: halve until a
+/// piece holds at most 2^14 elements, std::sort the leaves,
+/// std::inplace_merge on the way up.
+template <typename It, typename Compare>
+void reference_merge_sort(It first, It last, Compare comp) {
+  const auto n = std::distance(first, last);
+  if (n <= (1 << 14)) {
+    std::sort(first, last, comp);
+    return;
+  }
+  const It mid = first + n / 2;
+  reference_merge_sort(first, mid, comp);
+  reference_merge_sort(mid, last, comp);
+  std::inplace_merge(first, mid, last, comp);
+}
+
+TEST_P(SortSweep, TiesKeepTheOrderOfTheSerialRecursion) {
+  // The comparator reads only the key, so equal keys carrying different
+  // payloads show where each tie lands.
+  const std::int64_t n = GetParam();
+  CounterRng rng(37);
+  std::vector<std::pair<std::uint32_t, std::int64_t>> values(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i)
+    values[static_cast<std::size_t>(i)] = {
+        static_cast<std::uint32_t>(rng.below(static_cast<std::uint64_t>(i), 64)), i};
+  const auto by_key = [](const auto& a, const auto& b) { return a.first < b.first; };
+  auto expected = values;
+  reference_merge_sort(expected.begin(), expected.end(), by_key);
+  at_threads({1, 3, 4}, [&] {
+    auto work = values;
+    parallel_sort(work.begin(), work.end(), by_key);
+    EXPECT_EQ(work, expected);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SortSweep,
@@ -232,28 +400,6 @@ TEST(PrefixSum, AdversarialInputs) {
   EXPECT_EQ(total, 5);  // odd count, starts and ends with +5
   EXPECT_EQ(alternating[0], 0);
   EXPECT_EQ(alternating[2], 0);  // +5 -5
-}
-
-TEST(Atomics, FetchMaxAndMin) {
-  std::int64_t v = 10;
-  EXPECT_FALSE(atomic_fetch_max(v, std::int64_t{5}));
-  EXPECT_EQ(v, 10);
-  EXPECT_TRUE(atomic_fetch_max(v, std::int64_t{20}));
-  EXPECT_EQ(v, 20);
-  EXPECT_TRUE(atomic_fetch_min(v, std::int64_t{3}));
-  EXPECT_EQ(v, 3);
-}
-
-TEST(Atomics, ConcurrentFetchAddIsExact) {
-  std::int64_t total = 0;
-  parallel_for(100000, [&](std::int64_t) { atomic_fetch_add(total, std::int64_t{1}); });
-  EXPECT_EQ(total, 100000);
-}
-
-TEST(Atomics, AddDoubleAccumulates) {
-  double total = 0;
-  parallel_for(10000, [&](std::int64_t) { atomic_add_double(total, 0.5); });
-  EXPECT_DOUBLE_EQ(total, 5000.0);
 }
 
 }  // namespace
