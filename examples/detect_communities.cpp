@@ -21,7 +21,6 @@
 //   --min-communities <k>
 //   --max-size <n>      maximum original vertices per community
 //   --matcher list|sweep|greedy
-//   --contractor bucket|hash
 //   --threads <t>       OpenMP threads
 //   --out <file>        write "vertex community" lines
 //   --largest-component run on the largest connected component only
@@ -112,7 +111,7 @@ commdet::EdgeList<V> load(const std::string& path) {
                "       [--algo agglo|lp-sync|lp-async|louvain|agglo-sharded]\n"
                "       [--shards K] [--spill-dir d]\n"
                "       [--coverage x] [--min-communities k] [--max-size n]\n"
-               "       [--matcher list|sweep|greedy] [--contractor bucket|hash|spgemm]\n"
+               "       [--matcher list|sweep|greedy]\n"
                "       [--refine flat|vcycle] [--gamma g] [--threads t] [--out file]\n"
                "       [--largest-component] [--max-seconds s] [--max-memory-mb m]\n"
                "       [--max-stalled-levels k] [--grace-levels k]\n"
@@ -209,12 +208,6 @@ int main(int argc, char** argv) {
       if (m == "list") opts.matcher = commdet::MatcherKind::kUnmatchedList;
       else if (m == "sweep") opts.matcher = commdet::MatcherKind::kEdgeSweep;
       else if (m == "greedy") opts.matcher = commdet::MatcherKind::kSequentialGreedy;
-      else usage();
-    } else if (arg == "--contractor") {
-      const auto c = next();
-      if (c == "bucket") opts.contractor = commdet::ContractorKind::kBucketSort;
-      else if (c == "hash") opts.contractor = commdet::ContractorKind::kHashChain;
-      else if (c == "spgemm") opts.contractor = commdet::ContractorKind::kSpGemm;
       else usage();
     } else if (arg == "--refine") {
       const auto mode = next();

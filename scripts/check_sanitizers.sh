@@ -6,7 +6,7 @@
 #      largest-component, delta-apply and parallel-primitive tests again
 #      at OMP_NUM_THREADS=4,
 #   2. TSan at OMP_NUM_THREADS=4 over the parallel primitives, the
-#      concurrency-heavy matcher/contractor/driver and delta-apply tests
+#      concurrency-heavy matcher/contraction/driver and delta-apply tests
 #      plus the streaming-service suite (a full TSan run is minutes of
 #      overhead; the data-race surface lives in match/, contract/, the
 #      parallel primitives, and the serve writer/reader exchange), and a
@@ -33,15 +33,23 @@ run_asan() {
 }
 
 run_tsan() {
-  echo "== TSan at 4 threads: primitives / matcher / contractor / driver tests =="
-  cmake -B build-tsan -S . -DCOMMDET_SANITIZE="thread" \
+  echo "== TSan at 4 threads: primitives / matcher / contraction / driver tests =="
+  # One build call for all targets, so they compile in parallel.  The
+  # Makefile generator runs the targets of one call one after another
+  # (its top-level Makefile is .NOTPARALLEL), so a fresh build-tsan is
+  # generated for Ninja when it is installed; an existing build-tsan
+  # keeps its generator.
+  local generator=()
+  if [[ ! -f build-tsan/CMakeCache.txt ]] && command -v ninja > /dev/null; then
+    generator=(-G Ninja)
+  fi
+  cmake -B build-tsan -S . "${generator[@]}" -DCOMMDET_SANITIZE="thread" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-  for t in util_parallel_test util_spinlock_test match_test contract_test \
-           agglomerate_test robust_budget_test sanitize_test obs_test \
-           serve_test telemetry_test cluster_test algo_test shard_test dyn_test \
-           tsan_canary; do
-    cmake --build build-tsan -j "${jobs}" --target "${t}" > /dev/null
-  done
+  cmake --build build-tsan -j "${jobs}" --target \
+    util_parallel_test util_spinlock_test match_test contract_test \
+    agglomerate_test robust_budget_test sanitize_test obs_test \
+    serve_test telemetry_test cluster_test algo_test shard_test dyn_test \
+    tsan_canary > /dev/null
   # libgomp is not instrumented; util/parallel.hpp, the only code that
   # opens an OpenMP region, tells TSan where each region forks and joins,
   # so the suite runs at 4 threads.  TsanCanary races on purpose and must

@@ -21,7 +21,7 @@ for bench in \
     bench_fig1_time bench_fig2_speedup bench_fig3_large \
     bench_ablation_hashing bench_ablation_matching bench_ablation_contraction \
     bench_quality bench_complexity bench_refinement \
-    bench_phase_scaling bench_pregel_tradeoff; do
+    bench_phase_scaling; do
   echo "== ${bench}"
   "./build/bench/${bench}" --report "results/${bench}.json" "$@" \
     | tee "results/${bench}.txt"

@@ -13,7 +13,8 @@
 //   auto clustering = commdet::agglomerate(edges, commdet::ModularityScorer{});
 //   // clustering.community[v] is v's community.
 //
-// Module map:
+// Module map (headers marked "direct" are references for tests and
+// benches; include them by path, this header leaves them out):
 //   util/      parallel primitives (prefix sum, sort, compact, RNG, locks)
 //   graph/     bucketed community graph, CSR view, builder, validation,
 //              statistics, triangle counting
@@ -27,30 +28,27 @@
 //              run reports
 //   cc/        connected components, largest component, BFS
 //   score/     modularity / conductance / heavy-edge / resolution scorers
-//   match/     unmatched-list (paper), edge-sweep (baseline), sequential
-//              greedy matchers
-//   contract/  bucket-sort (paper), hash-chain (baseline), SpGEMM,
-//              label-keyed contractors
+//   match/     unmatched-list (paper) and edge-sweep (baseline) matchers;
+//              sequential greedy reference (direct)
+//   contract/  bucket-sort contraction (paper) over the label-keyed
+//              kernel; hash-chain reference (direct)
 //   core/      the agglomerative driver, metrics, hierarchy, extraction
 //   algo/      pluggable detection backends behind DetectPlan: parallel
 //              CDLP (sync/async label propagation) and parallel Louvain
 //   dyn/       batched edge updates with seeded (warm-start)
 //              re-agglomeration over a maintained clustering
 //   refine/    parallel local-move refinement (the paper's future work)
-//   baseline/  sequential CNM reference
+//   baseline/  sequential CNM reference (direct)
 //   platform/  host characteristics detection
 #pragma once
 
 #include "commdet/algo/cdlp.hpp"
 #include "commdet/algo/louvain.hpp"
 #include "commdet/algo/plan.hpp"
-#include "commdet/baseline/cnm.hpp"
 #include "commdet/cc/bfs.hpp"
 #include "commdet/cc/connected_components.hpp"
 #include "commdet/contract/bucket_sort_contractor.hpp"
-#include "commdet/contract/hash_chain_contractor.hpp"
 #include "commdet/contract/label_contractor.hpp"
-#include "commdet/contract/spgemm_contractor.hpp"
 #include "commdet/core/agglomerate.hpp"
 #include "commdet/core/clustering.hpp"
 #include "commdet/core/detect.hpp"
@@ -88,11 +86,8 @@
 #include "commdet/obs/report.hpp"
 #include "commdet/obs/trace.hpp"
 #include "commdet/match/matching.hpp"
-#include "commdet/match/sequential_greedy_matcher.hpp"
 #include "commdet/match/unmatched_list_matcher.hpp"
 #include "commdet/platform/platform_info.hpp"
-#include "commdet/pregel/engine.hpp"
-#include "commdet/pregel/programs.hpp"
 #include "commdet/refine/multilevel.hpp"
 #include "commdet/refine/refine.hpp"
 #include "commdet/robust/budget.hpp"

@@ -25,8 +25,6 @@
 #include <vector>
 
 #include "commdet/contract/bucket_sort_contractor.hpp"
-#include "commdet/contract/hash_chain_contractor.hpp"
-#include "commdet/contract/spgemm_contractor.hpp"
 #include "commdet/core/clustering.hpp"
 #include "commdet/core/options.hpp"
 #include "commdet/graph/builder.hpp"
@@ -73,19 +71,6 @@ template <VertexId V>
       break;
   }
   return UnmatchedListMatcher<V>{}.match(g, scores);
-}
-
-/// Only the bucket-sort contractor recycles `buffers`; the hash-chain
-/// and SpGEMM ablations allocate as they always did.
-template <VertexId V>
-[[nodiscard]] ContractionResult<V> run_contractor(ContractorKind kind,
-                                                  const CommunityGraph<V>& g,
-                                                  const Matching<V>& m,
-                                                  ContractionBuffers<V>& buffers) {
-  COMMDET_FAULT_POINT(fault::kContract, Phase::kContract);
-  if (kind == ContractorKind::kHashChain) return HashChainContractor<V>{}.contract(g, m);
-  if (kind == ContractorKind::kSpGemm) return SpGemmContractor<V>{}.contract(g, m);
-  return BucketSortContractor<V>{}.contract(g, m, buffers);
 }
 
 /// The original-vertex -> community map, composed lazily.  Rewriting
@@ -425,7 +410,6 @@ template <VertexId V, EdgeScorer S>
   }
   LevelLoop<V> loop(g, opts, std::move(seed), base_elapsed);
   loop.span().attr("matcher", to_string(opts.matcher));
-  loop.span().attr("contractor", to_string(opts.contractor));
   Clustering<V>& result = loop.result();
 
   // Original-vertex counts per community, for the max-size constraint.
@@ -515,9 +499,9 @@ template <VertexId V, EdgeScorer S>
       },
       [&](obs::ScopedSpan&) { return detail::run_matcher(opts.matcher, g, scores); },
       [&](const Matching<V>& matching, obs::ScopedSpan&) {
-        auto contracted = detail::run_contractor(opts.contractor, g, matching, buffers);
-        CommunityGraph<V> retired = std::exchange(g, std::move(contracted.graph));
-        if (opts.contractor == ContractorKind::kBucketSort) buffers.spare = std::move(retired);
+        COMMDET_FAULT_POINT(fault::kContract, Phase::kContract);
+        auto contracted = BucketSortContractor<V>{}.contract(g, matching, buffers);
+        buffers.spare = std::exchange(g, std::move(contracted.graph));
         const auto& new_label = contracted.new_label;
         if (opts.max_community_size > 0) {
           std::vector<std::int64_t> new_count(static_cast<std::size_t>(g.nv), 0);
@@ -571,7 +555,7 @@ template <VertexId V, EdgeScorer S>
 
 /// Continues an interrupted run from a checkpoint (consumed).  The
 /// options must describe the same trajectory the checkpoint was written
-/// under — matcher, contractor, constraints, and the caller's
+/// under — matcher, constraints, and the caller's
 /// config_salt are folded into a fingerprint and a mismatch is refused
 /// with ErrorCode::kCheckpointMismatch.  Budget and checkpoint-cadence
 /// fields may differ (a resume typically raises the deadline).
@@ -582,7 +566,7 @@ template <VertexId V, EdgeScorer S>
   if (fingerprint != ckpt.config_fingerprint)
     throw_error(ErrorCode::kCheckpointMismatch, Phase::kDriver,
                 "checkpoint was written under a different configuration "
-                "(matcher/contractor/constraints/scorer); refusing to resume" +
+                "(matcher/constraints/scorer); refusing to resume" +
                     (ckpt.source_path.empty() ? std::string()
                                               : " from " + ckpt.source_path));
   CommunityGraph<V> g = std::move(ckpt.graph);

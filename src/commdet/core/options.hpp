@@ -23,12 +23,6 @@ enum class MatcherKind {
   kSequentialGreedy,  // deterministic Preis-style reference
 };
 
-enum class ContractorKind {
-  kBucketSort,  // the paper's improved method (default)
-  kHashChain,   // the paper's original Feo-style method (ablation baseline)
-  kSpGemm,      // A' = S^T A S via Gustavson SpGEMM (Sec. VI observation)
-};
-
 /// Crash-safe checkpointing of the agglomeration loop (see
 /// robust/checkpoint.hpp for the snapshot format and loader).  When a
 /// directory is set, the driver snapshots the resumable state at level
@@ -89,7 +83,6 @@ struct AgglomerationOptions {
   CheckpointOptions checkpoint;
 
   MatcherKind matcher = MatcherKind::kUnmatchedList;
-  ContractorKind contractor = ContractorKind::kBucketSort;
 };
 
 enum class TerminationReason {
@@ -137,15 +130,6 @@ enum class TerminationReason {
     case MatcherKind::kUnmatchedList: return "unmatched-list";
     case MatcherKind::kEdgeSweep: return "edge-sweep";
     case MatcherKind::kSequentialGreedy: return "sequential-greedy";
-  }
-  return "unknown";
-}
-
-[[nodiscard]] constexpr std::string_view to_string(ContractorKind c) noexcept {
-  switch (c) {
-    case ContractorKind::kBucketSort: return "bucket-sort";
-    case ContractorKind::kHashChain: return "hash-chain";
-    case ContractorKind::kSpGemm: return "spgemm";
   }
   return "unknown";
 }

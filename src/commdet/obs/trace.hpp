@@ -63,8 +63,8 @@ struct SpanRecord {
 };
 
 /// Collector of spans for one run.  Thread-safe: spans may be opened and
-/// closed from any thread (the parallel reader and pregel engine trace
-/// from the calling thread, but nothing forbids concurrent traces).
+/// closed from any thread (the parallel reader traces from the calling
+/// thread, but nothing forbids concurrent traces).
 class Trace {
  public:
   Trace() : epoch_(Clock::now()) {}

@@ -112,7 +112,7 @@ struct CheckpointView {
   std::uint64_t h = 0x636f6d6d646574ULL;  // "commdet"
   const auto fold = [&h](std::uint64_t v) { h = mix64(h ^ v); };
   fold(static_cast<std::uint64_t>(o.matcher));
-  fold(static_cast<std::uint64_t>(o.contractor));
+  fold(0);  // retired contractor choice; 0 keeps older checkpoints resumable
   fold(std::bit_cast<std::uint64_t>(o.min_coverage));
   fold(static_cast<std::uint64_t>(o.min_communities));
   fold(static_cast<std::uint64_t>(o.max_community_size));

@@ -166,17 +166,12 @@ TEST(Agglomerate, AllMatcherContractorCombinationsAgreeOnQualityBallpark) {
   const auto el = make_caveman<V32>(12, 8);
   for (const auto matcher : {MatcherKind::kUnmatchedList, MatcherKind::kEdgeSweep,
                              MatcherKind::kSequentialGreedy}) {
-    for (const auto contractor : {ContractorKind::kBucketSort, ContractorKind::kHashChain}) {
-      AgglomerationOptions opts;
-      opts.matcher = matcher;
-      opts.contractor = contractor;
-      const auto result = agglomerate(el, ModularityScorer{}, opts);
-      EXPECT_GE(result.num_communities, 6)
-          << to_string(matcher) << "/" << to_string(contractor);
-      EXPECT_LE(result.num_communities, 15)
-          << to_string(matcher) << "/" << to_string(contractor);
-      EXPECT_GT(result.final_modularity, 0.6);
-    }
+    AgglomerationOptions opts;
+    opts.matcher = matcher;
+    const auto result = agglomerate(el, ModularityScorer{}, opts);
+    EXPECT_GE(result.num_communities, 6) << to_string(matcher);
+    EXPECT_LE(result.num_communities, 15) << to_string(matcher);
+    EXPECT_GT(result.final_modularity, 0.6);
   }
 }
 

@@ -17,6 +17,7 @@
 
 #include "commdet/core/agglomerate.hpp"
 #include "commdet/core/detect.hpp"
+#include "commdet/dyn/dynamic_communities.hpp"
 #include "commdet/gen/planted_partition.hpp"
 #include "commdet/gen/rmat.hpp"
 #include "commdet/graph/builder.hpp"
@@ -295,6 +296,22 @@ TEST_F(CheckpointTestBase, FingerprintCoversTrajectoryOptionsOnly) {
   changed.checkpoint.keep_generations = 7;
   changed.checkpoint.on_exhaustion = false;
   EXPECT_EQ(options_fingerprint(changed), f0);
+}
+
+// Checkpoints and persisted dynamic states outlive the binary that
+// wrote them, so the fingerprint of a given configuration must not
+// change between versions.  The literals were computed by the release
+// that still had a contractor option (folded as 0 = bucket sort).
+TEST_F(CheckpointTestBase, FingerprintIsStableAcrossVersions) {
+  EXPECT_EQ(options_fingerprint(AgglomerationOptions{}), 0xc1842c86f0697059ULL);
+  AgglomerationOptions sweep;
+  sweep.matcher = MatcherKind::kEdgeSweep;
+  EXPECT_EQ(options_fingerprint(sweep), 0x6c7cf6b536355fa3ULL);
+  AgglomerationOptions salted;
+  salted.min_coverage = 0.5;
+  salted.checkpoint.config_salt = 42;
+  EXPECT_EQ(options_fingerprint(salted), 0x0f94ae556bf7a92fULL);
+  EXPECT_EQ(dynamic_config_fingerprint(DynamicOptions{}), 0x7dc2437e56451c49ULL);
 }
 
 TEST_F(CheckpointTestBase, ResumeUnderDifferentConfigurationIsRefused) {

@@ -12,7 +12,6 @@
 
 #include "commdet/contract/bucket_sort_contractor.hpp"
 #include "commdet/contract/hash_chain_contractor.hpp"
-#include "commdet/contract/spgemm_contractor.hpp"
 #include "commdet/gen/erdos_renyi.hpp"
 #include "commdet/gen/rmat.hpp"
 #include "commdet/gen/simple_graphs.hpp"
@@ -55,12 +54,11 @@ std::map<std::pair<std::int64_t, std::int64_t>, Weight> edge_multiset(
   return out;
 }
 
-enum class CKind { kBucket, kHash, kSpGemm };
+enum class CKind { kBucket, kHash };
 
 template <typename V>
 ContractionResult<V> run(CKind kind, const CommunityGraph<V>& g, const Matching<V>& m) {
   if (kind == CKind::kHash) return HashChainContractor<V>{}.contract(g, m);
-  if (kind == CKind::kSpGemm) return SpGemmContractor<V>{}.contract(g, m);
   return BucketSortContractor<V>{}.contract(g, m);
 }
 
@@ -158,7 +156,7 @@ TEST_P(ContractorPropertyTest, RandomGraphInvariantsSurviveRepeatedContraction) 
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ContractorPropertyTest,
-    ::testing::Combine(::testing::Values(CKind::kBucket, CKind::kHash, CKind::kSpGemm),
+    ::testing::Combine(::testing::Values(CKind::kBucket, CKind::kHash),
                        ::testing::Values<std::uint64_t>(1, 2, 3)));
 
 /// Every array of two contraction results, compared element for element.
@@ -191,7 +189,7 @@ class ThreadCountGuard {
 };
 
 TEST(ContractorEquivalence, BothContractorsProduceIdenticalGraphs) {
-  // Level 1 of a scale-14 R-MAT, matched once; all three contractors
+  // Level 1 of a scale-14 R-MAT, matched once; both contractors
   // must produce the same arrays bit for bit, at 1 thread and at 4, and
   // the two thread counts must agree with each other.
   RmatParams p;
@@ -213,7 +211,6 @@ TEST(ContractorEquivalence, BothContractorsProduceIdenticalGraphs) {
     omp_set_num_threads(threads);
     expect_identical(serial, BucketSortContractor<V32>{}.contract(g, m), "BucketSort");
     expect_identical(serial, HashChainContractor<V32>{}.contract(g, m), "HashChain");
-    expect_identical(serial, SpGemmContractor<V32>{}.contract(g, m), "SpGemm");
   }
 }
 
@@ -411,12 +408,11 @@ TEST(SortAndAccumulate, DenseAndSortedPathsMatchReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllContractors, ContractorTest,
-                         ::testing::Values(CKind::kBucket, CKind::kHash, CKind::kSpGemm),
+                         ::testing::Values(CKind::kBucket, CKind::kHash),
                          [](const auto& info) {
                            switch (info.param) {
                              case CKind::kBucket: return "BucketSort";
                              case CKind::kHash: return "HashChain";
-                             case CKind::kSpGemm: return "SpGemm";
                            }
                            return "Unknown";
                          });

@@ -66,7 +66,9 @@ TEST(NormalizeDeltas, HashedOrderSortedAndDeduplicated) {
       EXPECT_EQ(f, d.u);
       EXPECT_EQ(s, d.v);
     }
-    if (d.u == 2 && d.v == 4) EXPECT_EQ(d.w, 7) << "last writer must win";
+    if (d.u == 2 && d.v == 4) {
+      EXPECT_EQ(d.w, 7) << "last writer must win";
+    }
   }
 }
 

@@ -83,9 +83,6 @@ TEST(Enums, AllToStringValuesAreDistinct) {
   EXPECT_EQ(to_string(MatcherKind::kUnmatchedList), "unmatched-list");
   EXPECT_EQ(to_string(MatcherKind::kEdgeSweep), "edge-sweep");
   EXPECT_EQ(to_string(MatcherKind::kSequentialGreedy), "sequential-greedy");
-  EXPECT_EQ(to_string(ContractorKind::kBucketSort), "bucket-sort");
-  EXPECT_EQ(to_string(ContractorKind::kHashChain), "hash-chain");
-  EXPECT_EQ(to_string(ContractorKind::kSpGemm), "spgemm");
   EXPECT_EQ(to_string(TerminationReason::kLocalMaximum), "local-maximum");
   EXPECT_EQ(to_string(TerminationReason::kCoverage), "coverage");
   EXPECT_EQ(to_string(TerminationReason::kNoMatches), "no-matches");

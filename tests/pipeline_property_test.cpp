@@ -1,10 +1,13 @@
 // Cross-component property sweep: the full pipeline (generator ->
 // builder -> driver -> metrics) must satisfy its invariants for every
-// combination of workload shape, scorer, matcher, and contractor.
+// combination of workload shape, scorer, and matcher.
 //
 // These are the repository's widest-net tests: each case asserts
 // termination, label density, incremental-vs-recomputed quality
-// agreement, coverage monotonicity, and weight conservation.
+// agreement, coverage monotonicity, and weight conservation.  The
+// "Hash" cases also replay the run's recorded matchings through the
+// standalone hash-chain contractor (Feo's method, the reference the
+// paper's bucket sort replaces): every level must come out the same.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "commdet/contract/hash_chain_contractor.hpp"
 #include "commdet/core/agglomerate.hpp"
 #include "commdet/core/metrics.hpp"
 #include "commdet/gen/barabasi_albert.hpp"
@@ -65,19 +69,69 @@ EdgeList<V32> make_workload(const std::string& shape, std::uint64_t seed) {
   return {};
 }
 
-using Combo = std::tuple<std::string, MatcherKind, ContractorKind, std::uint64_t>;
+/// Rebuilds the matching a level merged from its recorded labels: the
+/// driver contracts one matching per level, so each new label holds one
+/// vertex or one matched pair.
+Matching<V32> matching_of_level(std::span<const V32> label) {
+  Matching<V32> m;
+  m.mate.assign(label.size(), kNoVertex<V32>);
+  std::vector<V32> first(label.size(), kNoVertex<V32>);
+  for (std::size_t v = 0; v < label.size(); ++v) {
+    auto& f = first[static_cast<std::size_t>(label[v])];
+    if (f == kNoVertex<V32>) {
+      f = static_cast<V32>(v);
+      continue;
+    }
+    EXPECT_EQ(m.mate[static_cast<std::size_t>(f)], kNoVertex<V32>) << "label " << label[v];
+    m.mate[static_cast<std::size_t>(f)] = static_cast<V32>(v);
+    m.mate[v] = f;
+    ++m.num_pairs;
+  }
+  return m;
+}
+
+/// Replays every level of `r` from `g` through the hash-chain
+/// contractor and checks it reproduces the driver's labels, level
+/// statistics and final quality.
+void expect_hash_chain_replay(const CommunityGraph<V32>& g, const Clustering<V32>& r) {
+  ASSERT_EQ(r.hierarchy.size(), r.levels.size());
+  CommunityGraph<V32> cur = g;
+  for (std::size_t k = 0; k < r.hierarchy.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "level " << k);
+    const auto& label = r.hierarchy[k];
+    ASSERT_EQ(static_cast<std::int64_t>(label.size()), static_cast<std::int64_t>(cur.nv));
+    const auto m = matching_of_level(std::span<const V32>(label.data(), label.size()));
+    EXPECT_EQ(m.num_pairs, r.levels[k].pairs_matched);
+    auto next = HashChainContractor<V32>{}.contract(cur, m);
+    ASSERT_TRUE(validate_graph(next.graph).ok()) << validate_graph(next.graph).error;
+    EXPECT_EQ(next.new_label, label);
+    EXPECT_EQ(static_cast<std::int64_t>(next.graph.nv), r.levels[k].nv_after);
+    EXPECT_EQ(next.graph.num_edges(), r.levels[k].ne_after);
+    EXPECT_EQ(next.graph.total_weight, g.total_weight);
+    EXPECT_DOUBLE_EQ(detail::partition_coverage(next.graph), r.levels[k].coverage);
+    EXPECT_DOUBLE_EQ(detail::partition_modularity(next.graph), r.levels[k].modularity);
+    cur = std::move(next.graph);
+  }
+  EXPECT_EQ(static_cast<std::int64_t>(cur.nv), static_cast<std::int64_t>(r.num_communities));
+  EXPECT_DOUBLE_EQ(detail::partition_modularity(cur), r.final_modularity);
+}
+
+/// "Bucket": the driver's own contraction only.  "Hash": also replay the
+/// run through the hash-chain contractor.
+enum class Contraction { kBucket, kHashReplay };
+
+using Combo = std::tuple<std::string, MatcherKind, Contraction, std::uint64_t>;
 
 class PipelineProperty : public ::testing::TestWithParam<Combo> {};
 
 TEST_P(PipelineProperty, InvariantsHoldEndToEnd) {
-  const auto& [shape, matcher, contractor, seed] = GetParam();
+  const auto& [shape, matcher, contraction, seed] = GetParam();
   const auto el = make_workload(shape, seed);
   const auto g = build_community_graph(el);
   ASSERT_TRUE(validate_graph(g).ok());
 
   AgglomerationOptions opts;
   opts.matcher = matcher;
-  opts.contractor = contractor;
   opts.track_hierarchy = true;
   const auto r = agglomerate(g, ModularityScorer{}, opts);
 
@@ -118,16 +172,17 @@ TEST_P(PipelineProperty, InvariantsHoldEndToEnd) {
   if (r.reason == TerminationReason::kLocalMaximum && g.num_edges() > 0) {
     EXPECT_GE(r.final_modularity, -1e-9);
   }
+
+  // 6. The hash-chain contractor reproduces every level.
+  if (contraction == Contraction::kHashReplay) expect_hash_chain_replay(g, r);
 }
 
 std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
-  const auto& [shape, matcher, contractor, seed] = info.param;
+  const auto& [shape, matcher, contraction, seed] = info.param;
   std::string m = matcher == MatcherKind::kUnmatchedList   ? "List"
                   : matcher == MatcherKind::kEdgeSweep     ? "Sweep"
                                                            : "Greedy";
-  std::string c = contractor == ContractorKind::kBucketSort  ? "Bucket"
-                  : contractor == ContractorKind::kHashChain ? "Hash"
-                                                             : "SpGemm";
+  std::string c = contraction == Contraction::kBucket ? "Bucket" : "Hash";
   return shape + "_" + m + "_" + c + "_s" + std::to_string(seed);
 }
 
@@ -137,13 +192,12 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values("rmat", "sbm", "er", "ws", "ba", "caveman", "grid"),
         ::testing::Values(MatcherKind::kUnmatchedList, MatcherKind::kEdgeSweep,
                           MatcherKind::kSequentialGreedy),
-        ::testing::Values(ContractorKind::kBucketSort, ContractorKind::kHashChain,
-                          ContractorKind::kSpGemm),
+        ::testing::Values(Contraction::kBucket, Contraction::kHashReplay),
         ::testing::Values<std::uint64_t>(42, 1337)),
     combo_name);
 
-// Determinism of the sequential configuration: greedy matcher + either
-// contractor must give identical results across runs.
+// Determinism of the sequential configuration: the greedy matcher must
+// give identical results across runs.
 TEST(PipelineDeterminism, SequentialConfigurationIsReproducible) {
   const auto el = make_workload("sbm", 7);
   AgglomerationOptions opts;
