@@ -12,7 +12,12 @@
 // graph is contracted by the label-keyed kernel (contract_by_labels),
 // which runs exactly those passes.  Where the paper synchronizes with
 // one atomic fetch-and-add per edge, the kernel counts and scatters
-// through chunk-private histograms (see label_contractor.hpp).
+// through chunk-private histograms (see label_contractor.hpp).  The
+// buckets are scattered straight into the output graph's storage (a
+// retired graph's arrays, when the caller recycles one), and "copied
+// back out" is an in-place compaction there that closes the gaps the
+// accumulation left, so a contraction holds only the graph it reads and
+// the graph it writes.
 #pragma once
 
 #include <span>

@@ -4,13 +4,16 @@
 // It is the paper's bucket-sort contraction (Sec. IV-C) generalized from
 // "each community absorbs at most one partner" to "any vertex ->
 // community map": counting pass, scatter into first-vertex buckets,
-// per-bucket sort-and-accumulate, contiguous copy-back.  The count and
-// scatter run over chunk-private histograms rather than the paper's
-// per-edge fetch-and-add.  The per-bucket step sorts only buckets whose
-// keys are spread wide; a bucket whose keys fall within a few words per
-// entry is accumulated by key into a dense array and read back through
-// a bitmap, in key order.  Every placement invariant of CommunityGraph
-// (hashed edge order, sorted buckets) holds by construction.
+// per-bucket sort-and-accumulate, and an in-place compaction that closes
+// the gaps the accumulation left.  The scatter writes straight into the
+// output's (second, weight) arrays, so no graph-sized scratch exists and
+// no copy-back pass runs.  The count and scatter run over chunk-private
+// histograms rather than the paper's per-edge fetch-and-add.  The
+// per-bucket step sorts only buckets whose keys are spread wide; a
+// bucket whose keys fall within a few words per entry is accumulated by
+// key into a dense array and read back through a bitmap, in key order.
+// Every placement invariant of CommunityGraph (hashed edge order, sorted
+// and contiguous buckets) holds by construction.
 //
 // Every contraction runs it: the per-level matching contractor
 // (BucketSortContractor relabels the matching and calls it), the dyn/
@@ -20,16 +23,20 @@
 // (shard/shard_contract.hpp).  Each pass takes one edge range and a
 // bucket window, so the sharded path calls the same passes block by
 // block: count_label_range carries each bucket's running cursor from
-// one block to the next, and copy_out_buckets writes a window into one
-// destination block.  Building the input graph is the same job under
-// the identity labeling (IdentityLabels): graph/builder.hpp and the
-// sharded builder run these passes over raw edges, traced as
-// graph.build.* rather than contract.*.
+// one block to the next, and copy_out_buckets lays a window out in one
+// destination block, in place or from a group's scratch.  Building the
+// input graph is the same job under the identity labeling
+// (IdentityLabels): graph/builder.hpp and the sharded builder run these
+// passes over raw edges, traced as graph.build.* rather than contract.*.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <numeric>
+#include <ranges>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -152,24 +159,28 @@ BucketAccumulation sort_and_accumulate_buckets(std::span<const EdgeId> off, Edge
 /// and page-faulted on first touch at every level; reusing the previous
 /// level's arrays skips both the faults and the single-threaded value
 /// initialization.  `spare` is a retired graph (typically the input of
-/// the previous level) whose arrays the next output takes over; the
-/// scatter scratch keeps its capacity from one contraction to the next.
+/// the previous level) whose arrays the next output takes over.
 template <VertexId V>
 struct ContractionBuffers {
-  std::vector<V> scatter_second;
-  std::vector<Weight> scatter_weight;
   CommunityGraph<V> spare;
 
   /// Bytes held between contractions (capacities, not sizes).
   [[nodiscard]] std::int64_t retained_bytes() const noexcept {
-    const auto bytes = [](const auto& v) {
-      return static_cast<std::int64_t>(v.capacity() * sizeof(v[0]));
-    };
-    return bytes(scatter_second) + bytes(scatter_weight) + bytes(spare.bucket_begin) +
-           bytes(spare.bucket_end) + bytes(spare.self_weight) + bytes(spare.volume) +
-           bytes(spare.efirst) + bytes(spare.esecond) + bytes(spare.eweight);
+    const auto bytes = spare.capacity_bytes();
+    return std::accumulate(bytes.begin(), bytes.end(), std::int64_t{0});
   }
 };
+
+/// Bytes by which arrays grew their capacity from `before` to `after`
+/// (CommunityGraph::capacity_bytes, array by array): the fresh pages a
+/// pass that sized them has to touch.
+template <std::size_t K>
+[[nodiscard]] std::int64_t grown_bytes(const std::array<std::int64_t, K>& before,
+                                       const std::array<std::int64_t, K>& after) noexcept {
+  std::int64_t grown = 0;
+  for (std::size_t i = 0; i < K; ++i) grown += std::max<std::int64_t>(after[i] - before[i], 0);
+  return grown;
+}
 
 namespace detail {
 
@@ -314,11 +325,27 @@ void scatter_label_range(const E& edges, const L& labels, LabelChunks<V>& chunks
   }, /*chunk=*/1);
 }
 
-/// Pass 4: copies buckets lo, lo + 1, ... (bucket v's len[v] entries
-/// start at off[v] - base in `second` / `weight`) contiguously into
-/// `out`'s edge arrays and bucket cursors, filling in the implicit first
-/// vertex.  `out` is a CommunityGraph or a shard block (cursors indexed
-/// by v - lo).  Returns the number of edges written.
+/// Pass 4: lays buckets lo, lo + 1, ... out contiguously in `out`'s edge
+/// arrays and bucket cursors, filling in the implicit first vertex.
+/// Bucket v's len[v] entries start at off[v] - base in `second` /
+/// `weight`.  Those are either other arrays, copied from, or `out`'s own
+/// esecond and eweight (both, never one of them), which the scatter
+/// filled: the buckets then move left in place to [0, sum of len),
+/// closing the gaps the accumulation left (and any before bucket lo when
+/// off[0] > base), and the two arrays shrink to the edges written but
+/// keep their capacity.  `out` is a CommunityGraph or a shard block
+/// (cursors indexed by v - lo).  Returns the number of edges written.
+///
+/// The buckets are cut into runs of about equal work, one per thread.
+/// Each thread packs its run's buckets to the front of the run's own
+/// span (or, copying, straight to their final place) and writes their
+/// first vertices and cursors.  In place, the packed runs then shift
+/// left in run order.  A shift by d of n > d entries cannot copy its
+/// blocks at once, since each block's first d destinations are the
+/// previous block's last d sources: a short shift stages those d
+/// entries of every block first, a long one moves in rounds of d
+/// entries, so no round overwrites an entry it has yet to read.  Every
+/// step is copied in parallel once it is worth a region.
 template <typename Out, VertexId V>
 EdgeId copy_out_buckets(std::span<const EdgeId> off, EdgeId base, std::span<const EdgeId> len,
                         std::span<const V> second, std::span<const Weight> weight, V lo,
@@ -327,29 +354,110 @@ EdgeId copy_out_buckets(std::span<const EdgeId> off, EdgeId base, std::span<cons
   std::vector<EdgeId> final_off(len.begin(), len.end());
   final_off.push_back(0);
   const EdgeId final_ne = exclusive_prefix_sum(std::span<EdgeId>(final_off));
+  const bool in_place = second.data() == out.esecond.data();
+  assert(in_place == (weight.data() == out.eweight.data()) &&
+         "copy_out_buckets: second and weight must both be out's arrays, or neither");
   detail::resize_for_overwrite(out.efirst, static_cast<std::size_t>(final_ne));
-  detail::resize_for_overwrite(out.esecond, static_cast<std::size_t>(final_ne));
-  detail::resize_for_overwrite(out.eweight, static_cast<std::size_t>(final_ne));
-  parallel_for_dynamic(nb, [&](std::int64_t v) {
-    const EdgeId src = off[static_cast<std::size_t>(v)] - base;
-    const EdgeId dst = final_off[static_cast<std::size_t>(v)];
-    const EdgeId n = len[static_cast<std::size_t>(v)];
-    const V first = lo + static_cast<V>(v);
-    for (EdgeId k = 0; k < n; ++k) {
-      const auto to = static_cast<std::size_t>(dst + k);
-      const auto from = static_cast<std::size_t>(src + k);
-      out.efirst[to] = first;
-      out.esecond[to] = second[from];
-      out.eweight[to] = weight[from];
+  if (!in_place) {
+    detail::resize_for_overwrite(out.esecond, static_cast<std::size_t>(final_ne));
+    detail::resize_for_overwrite(out.eweight, static_cast<std::size_t>(final_ne));
+  }
+  detail::resize_for_overwrite(out.bucket_begin, static_cast<std::size_t>(nb));
+  detail::resize_for_overwrite(out.bucket_end, static_cast<std::size_t>(nb));
+  const auto move = [&](EdgeId from, EdgeId to, EdgeId n) {  // to <= from in place
+    if (n == 0 || (in_place && from == to)) return;
+    const auto f = static_cast<std::size_t>(from);
+    const auto t = static_cast<std::size_t>(to);
+    const auto k = static_cast<std::size_t>(n);
+    std::copy(second.data() + f, second.data() + f + k, out.esecond.data() + t);
+    std::copy(weight.data() + f, weight.data() + f + k, out.eweight.data() + t);
+  };
+
+  // Runs balanced on entries plus buckets: run r is [run[r], run[r + 1]).
+  const std::int64_t work = static_cast<std::int64_t>(final_ne) + nb;
+  const std::int64_t runs = std::clamp<std::int64_t>(work >> 14, 1, parallel_threads());
+  std::vector<std::int64_t> run(static_cast<std::size_t>(runs) + 1, nb);
+  const auto buckets = std::views::iota(std::int64_t{0}, nb);
+  for (std::int64_t r = 0; r < runs; ++r)
+    run[static_cast<std::size_t>(r)] =
+        std::ranges::partition_point(buckets, [&](std::int64_t v) {
+          return final_off[static_cast<std::size_t>(v)] + v < work * r / runs;
+        }) - buckets.begin();
+  const auto src = [&](std::int64_t v) { return off[static_cast<std::size_t>(v)] - base; };
+
+  parallel_for(runs, [&](std::int64_t r) {
+    const std::int64_t vb = run[static_cast<std::size_t>(r)];
+    const std::int64_t ve = run[static_cast<std::size_t>(r) + 1];
+    if (vb == ve) return;
+    EdgeId at = in_place ? src(vb) : final_off[static_cast<std::size_t>(vb)];
+    for (std::int64_t v = vb; v < ve; ++v) {
+      const auto vi = static_cast<std::size_t>(v);
+      const EdgeId n = len[vi];
+      move(src(v), at, n);
+      at += n;
+      std::fill_n(out.efirst.begin() + static_cast<std::ptrdiff_t>(final_off[vi]), n,
+                  static_cast<V>(lo + static_cast<V>(v)));
+      out.bucket_begin[vi] = final_off[vi];
+      out.bucket_end[vi] = final_off[vi] + n;
     }
   });
 
-  out.bucket_begin.assign(final_off.begin(), final_off.end() - 1);
-  out.bucket_end.assign(static_cast<std::size_t>(nb), 0);
-  parallel_for(nb, [&](std::int64_t v) {
-    out.bucket_end[static_cast<std::size_t>(v)] =
-        final_off[static_cast<std::size_t>(v)] + len[static_cast<std::size_t>(v)];
-  });
+  if (!in_place) return final_ne;
+  constexpr EdgeId kParallelCopy = EdgeId{1} << 14;  // entries per thread worth a region
+  const auto parallel_move = [&](EdgeId from, EdgeId to, EdgeId n) {  // disjoint ranges
+    const std::int64_t blocks =
+        std::clamp<std::int64_t>(n / kParallelCopy, 1, parallel_threads());
+    parallel_for(blocks, [&](std::int64_t b) {
+      const EdgeId lo_k = n * b / blocks;
+      move(from + lo_k, to + lo_k, n * (b + 1) / blocks - lo_k);
+    });
+  };
+  // Shifts [from, from + n) left by `by` < n, in blocks of at least
+  // kParallelCopy > by entries: every block but the last stages its last
+  // `by` entries, then each block copies forward (reading each entry
+  // before overwriting it) and writes the staged entries last.
+  const auto short_shift = [&](EdgeId from, EdgeId by, EdgeId n) {
+    const std::int64_t blocks =
+        std::clamp<std::int64_t>(n / kParallelCopy, 1, parallel_threads());
+    const auto cut = [&](std::int64_t b) { return from + n * b / blocks; };
+    const auto k = static_cast<std::size_t>(by);
+    std::vector<V> staged_second(k * static_cast<std::size_t>(blocks - 1));
+    std::vector<Weight> staged_weight(staged_second.size());
+    V* const es = out.esecond.data();
+    Weight* const ew = out.eweight.data();
+    parallel_for(blocks - 1, [&](std::int64_t b) {
+      const auto at = static_cast<std::size_t>(cut(b + 1) - by);
+      const auto stage = k * static_cast<std::size_t>(b);
+      std::copy_n(es + at, k, staged_second.data() + stage);
+      std::copy_n(ew + at, k, staged_weight.data() + stage);
+    });
+    parallel_for(blocks, [&](std::int64_t b) {
+      const EdgeId staged = b + 1 < blocks ? by : 0;
+      move(cut(b), cut(b) - by, cut(b + 1) - cut(b) - staged);
+      if (staged == 0) return;
+      const auto at = static_cast<std::size_t>(cut(b + 1) - 2 * by);
+      const auto stage = k * static_cast<std::size_t>(b);
+      std::copy_n(staged_second.data() + stage, k, es + at);
+      std::copy_n(staged_weight.data() + stage, k, ew + at);
+    });
+  };
+  for (std::int64_t r = 0; r < runs; ++r) {
+    const std::int64_t vb = run[static_cast<std::size_t>(r)];
+    const std::int64_t ve = run[static_cast<std::size_t>(r) + 1];
+    if (vb == ve) continue;
+    const EdgeId to = final_off[static_cast<std::size_t>(vb)];
+    const EdgeId n = final_off[static_cast<std::size_t>(ve)] - to;
+    const EdgeId by = src(vb) - to;
+    if (by == 0 || n == 0) continue;
+    if (by < kParallelCopy && by < n) {
+      short_shift(src(vb), by, n);
+      continue;
+    }
+    for (EdgeId k = 0; k < n; k += by)
+      parallel_move(src(vb) + k, to + k, std::min(by, n - k));
+  }
+  out.esecond.resize(static_cast<std::size_t>(final_ne));
+  out.eweight.resize(static_cast<std::size_t>(final_ne));
   return final_ne;
 }
 
@@ -367,11 +475,13 @@ namespace detail {
 /// intra-label edges into `self` (empty: no fold), and lay the surviving
 /// edges whose hashed-first vertex lies in [lo, hi) out as `out`'s
 /// sorted, accumulated buckets (a CommunityGraph, or a shard block).
-/// The scatter scratch is `scratch`'s.  Returns the edges folded.
+/// The scatter writes into `out`'s esecond / eweight, sized to the
+/// surviving edges (within their capacity, when `out` recycles a graph),
+/// and the sort and the compaction run on them in place.  `out` must not
+/// hold `edges`.  Returns the edges folded.
 template <EdgeRange E, typename L, VertexId V, typename Out>
 std::int64_t bucket_sort_range(const E& edges, const L& labels, V lo, V hi,
-                               std::span<Weight> self, Out& out, ContractionBuffers<V>& scratch,
-                               const BucketPassSpans& spans) {
+                               std::span<Weight> self, Out& out, const BucketPassSpans& spans) {
   const auto n = static_cast<std::size_t>(hi - lo);
   obs::ScopedSpan count_span(spans.count);
   count_span.attr("edges", static_cast<std::int64_t>(edges.num_edges()));
@@ -384,12 +494,10 @@ std::int64_t bucket_sort_range(const E& edges, const L& labels, V lo, V hi,
 
   obs::ScopedSpan scatter_span(spans.scatter);
   scatter_span.attr("edges", static_cast<std::int64_t>(live));
-  auto& tmp_second = scratch.scatter_second;
-  auto& tmp_weight = scratch.scatter_weight;
-  resize_for_overwrite(tmp_second, static_cast<std::size_t>(live));
-  resize_for_overwrite(tmp_weight, static_cast<std::size_t>(live));
+  resize_for_overwrite(out.esecond, static_cast<std::size_t>(live));
+  resize_for_overwrite(out.eweight, static_cast<std::size_t>(live));
   scatter_label_range(edges, labels, chunks, std::span<const EdgeId>(counts), 0,
-                      std::span<V>(tmp_second), std::span<Weight>(tmp_weight));
+                      std::span<V>(out.esecond), std::span<Weight>(out.eweight));
   chunks = {};
   scatter_span.close();
 
@@ -398,15 +506,15 @@ std::int64_t bucket_sort_range(const E& edges, const L& labels, V lo, V hi,
   obs::ScopedSpan sort_span(spans.sort);
   sort_span.attr("edges", static_cast<std::int64_t>(live));
   const auto accumulated = sort_and_accumulate_buckets<V>(
-      std::span<const EdgeId>(counts), 0, std::span<V>(tmp_second),
-      std::span<Weight>(tmp_weight));
+      std::span<const EdgeId>(counts), 0, std::span<V>(out.esecond),
+      std::span<Weight>(out.eweight));
   sort_span.attr("dense_buckets", accumulated.dense_buckets);
   sort_span.close();
 
   obs::ScopedSpan copy_span(spans.copy);
   const EdgeId final_ne = copy_out_buckets(
       std::span<const EdgeId>(counts), 0, std::span<const EdgeId>(accumulated.new_len),
-      std::span<const V>(tmp_second), std::span<const Weight>(tmp_weight), lo, out);
+      std::span<const V>(out.esecond), std::span<const Weight>(out.eweight), lo, out);
   copy_span.attr("edges", static_cast<std::int64_t>(final_ne));
   return folded;
 }
@@ -419,8 +527,7 @@ std::int64_t bucket_sort_range(const E& edges, const L& labels, V lo, V hi,
 /// weight are preserved exactly (both are additive under contraction).
 /// Weights are integers, so the output is bit-identical at any thread
 /// count, and it does not depend on what `buffers` held.  The output
-/// takes over `buffers.spare`'s arrays (which must not be `base`'s);
-/// the scatter scratch stays in `buffers` for the next call.
+/// takes over `buffers.spare`'s arrays (which must not be `base`'s).
 template <VertexId V>
 [[nodiscard]] CommunityGraph<V> contract_by_labels(const CommunityGraph<V>& base,
                                                    std::span<const V> labels,
@@ -436,7 +543,7 @@ template <VertexId V>
                     std::span<Weight>(out.volume));
   const std::int64_t folded =
       detail::bucket_sort_range(base, labels, V{0}, out.nv, std::span<Weight>(out.self_weight),
-                                out, buffers, kContractSpans);
+                                out, kContractSpans);
   if (obs::Counter* c = obs::counter("contract.self_edges_folded")) c->add(folded);
   return out;
 }

@@ -195,19 +195,20 @@ class LevelLoop {
   /// every read of it.
   void flush() { community_map_.flush(); }
 
-  /// Runs levels start_level, start_level + 1, ... over `g` until a
+  /// Runs levels start_level, start_level + 1, ... over the graph
+  /// `graph()` returns (the one the next level reads) until a
   /// termination test or a stop fires.  Per level:
   ///   score(span) -> ScoreSummary
   ///   match(span) -> Matching<V>
-  ///   contract(matching, span) -> new_label, after replacing `g`
+  ///   contract(matching, span) -> new_label, after replacing the graph
   ///   at_boundary(level), once the level completed and the run goes on.
   /// `working_bytes()` is what the memory budget counts.  Score and
-  /// match must not mutate `g`, and contract must throw before it
-  /// replaces `g`, so a contained failure leaves `g` and the maps at the
-  /// last completed level.
-  template <VertexState G, typename Bytes, typename Score, typename Match, typename Contract,
+  /// match must not mutate the graph, and contract must throw before it
+  /// replaces it, so a contained failure leaves the graph and the maps
+  /// at the last completed level.
+  template <typename Graph, typename Bytes, typename Score, typename Match, typename Contract,
             typename Boundary>
-  void run(const G& g, int start_level, Bytes&& working_bytes, Score&& score, Match&& match,
+  void run(Graph&& graph, int start_level, Bytes&& working_bytes, Score&& score, Match&& match,
            Contract&& contract, Boundary&& at_boundary) {
     last_completed_level_ = start_level - 1;
     for (int level = start_level;; ++level) {
@@ -219,8 +220,8 @@ class LevelLoop {
 
       LevelStats stats;
       stats.level = level;
-      stats.nv_before = static_cast<std::int64_t>(g.nv);
-      stats.ne_before = g.num_edges();
+      stats.nv_before = static_cast<std::int64_t>(graph().nv);
+      stats.ne_before = graph().num_edges();
 
       obs::ScopedSpan level_span("level");
       level_span.attr("level", level);
@@ -272,12 +273,13 @@ class LevelLoop {
           ScopedTimer t(stats.contract_seconds);
           obs::ScopedSpan span("contract");
           new_label = contract(matching, span);
-          span.attr("nv_after", static_cast<std::int64_t>(g.nv));
-          span.attr("ne_after", static_cast<std::int64_t>(g.num_edges()));
+          span.attr("nv_after", static_cast<std::int64_t>(graph().nv));
+          span.attr("ne_after", static_cast<std::int64_t>(graph().num_edges()));
         }
 
         // Bookkeeping: original-vertex map, dendrogram, quality.
         phase = Phase::kDriver;
+        const auto& g = graph();
         community_map_.compose(std::span<const V>(new_label), static_cast<std::int64_t>(g.nv));
         if (opts_.track_hierarchy) result_.hierarchy.push_back(std::move(new_label));
         stats.nv_after = static_cast<std::int64_t>(g.nv);
@@ -307,7 +309,7 @@ class LevelLoop {
       result_.levels.push_back(stats);
       ++completed_levels_;
       last_completed_level_ = level;
-      result_.num_communities = static_cast<std::int64_t>(g.nv);
+      result_.num_communities = stats.nv_after;
       result_.final_coverage = stats.coverage;
       result_.final_modularity = stats.modularity;
 
@@ -392,23 +394,29 @@ class LevelLoop {
 /// The unsharded level loop, shared by fresh and resumed runs: the
 /// three phases over a CommunityGraph, plus what only this driver has —
 /// the size cap, recycled contraction buffers, and checkpoints at level
-/// boundaries.  `resume` seats the loop at a checkpoint's level
-/// boundary: `g` is the restored community graph and the maps/history/
-/// elapsed time come from the checkpoint (moved out of it).
+/// boundaries.  The first level reads `borrowed` in place when it is
+/// given (the caller keeps it, so it is never recycled), else `owned`,
+/// which becomes the spare once level 1 replaced it.  `resume` seats the
+/// loop at a checkpoint's level boundary: `owned` is the restored
+/// community graph and the maps/history/elapsed time come from the
+/// checkpoint (moved out of it).
 template <VertexId V, EdgeScorer S>
-[[nodiscard]] Clustering<V> agglomerate_impl(CommunityGraph<V> g, const S& scorer,
+[[nodiscard]] Clustering<V> agglomerate_impl(CommunityGraph<V> owned,
+                                             const CommunityGraph<V>* borrowed, const S& scorer,
                                              const AgglomerationOptions& opts,
                                              CheckpointState<V>* resume) {
+  // The graph the next level reads: the borrowed input, then `owned`.
+  const CommunityGraph<V>* g = borrowed != nullptr ? borrowed : &owned;
   Clustering<V> seed;
   const std::int64_t original_nv =
-      resume != nullptr ? resume->original_nv : static_cast<std::int64_t>(g.nv);
+      resume != nullptr ? resume->original_nv : static_cast<std::int64_t>(g->nv);
   const double base_elapsed = resume != nullptr ? resume->elapsed_seconds : 0.0;
   if (resume != nullptr) {
     seed.community = std::move(resume->community);
     seed.levels = std::move(resume->levels);
     seed.hierarchy = std::move(resume->hierarchy);
   }
-  LevelLoop<V> loop(g, opts, std::move(seed), base_elapsed);
+  LevelLoop<V> loop(*g, opts, std::move(seed), base_elapsed);
   loop.span().attr("matcher", to_string(opts.matcher));
   Clustering<V>& result = loop.result();
 
@@ -418,7 +426,7 @@ template <VertexId V, EdgeScorer S>
     if (resume != nullptr && !resume->vertex_count.empty())
       vertex_count = std::move(resume->vertex_count);
     else
-      vertex_count.assign(static_cast<std::size_t>(g.nv), 1);
+      vertex_count.assign(static_cast<std::size_t>(g->nv), 1);
   }
 
   // Checkpoint machinery.  Snapshot writes are contained: a failing
@@ -451,7 +459,7 @@ template <VertexId V, EdgeScorer S>
       view.original_nv = original_nv;
       view.next_level = next_level;
       view.elapsed_seconds = loop.elapsed_seconds();
-      view.graph = &g;
+      view.graph = g;
       view.community = &result.community;
       view.vertex_count = vertex_count.empty() ? nullptr : &vertex_count;
       view.levels = &result.levels;
@@ -474,37 +482,43 @@ template <VertexId V, EdgeScorer S>
     }
   };
 
-  // Contraction storage recycled across levels: each replaced graph
-  // becomes the spare whose arrays the next contraction fills.
+  // Contraction storage recycled across levels: each replaced graph the
+  // driver owns becomes the spare whose arrays the next contraction fills.
   ContractionBuffers<V> buffers;
   std::vector<Score> scores;
   loop.run(
-      g, start_level,
+      [&]() -> const CommunityGraph<V>& { return *g; }, start_level,
       // The memory check counts the recycled storage with the live graph.
-      [&] { return estimate_working_set_bytes(g) + buffers.retained_bytes(); },
+      [&] { return estimate_working_set_bytes(*g) + buffers.retained_bytes(); },
       [&](obs::ScopedSpan&) {
-        const ScoreSummary summary = score_edges(g, scorer, scores);
+        const ScoreSummary summary = score_edges(*g, scorer, scores);
         if (opts.max_community_size > 0) {
           // Disqualify merges that would exceed the size cap by zeroing
           // their scores before matching.
-          parallel_for(g.num_edges(), [&](std::int64_t e) {
+          parallel_for(g->num_edges(), [&](std::int64_t e) {
             const auto i = static_cast<std::size_t>(e);
             if (scores[i] <= 0.0) return;
-            const auto merged = vertex_count[static_cast<std::size_t>(g.efirst[i])] +
-                                vertex_count[static_cast<std::size_t>(g.esecond[i])];
+            const auto merged = vertex_count[static_cast<std::size_t>(g->efirst[i])] +
+                                vertex_count[static_cast<std::size_t>(g->esecond[i])];
             if (merged > opts.max_community_size) scores[i] = 0.0;
           });
         }
         return summary;
       },
-      [&](obs::ScopedSpan&) { return detail::run_matcher(opts.matcher, g, scores); },
-      [&](const Matching<V>& matching, obs::ScopedSpan&) {
+      [&](obs::ScopedSpan&) { return detail::run_matcher(opts.matcher, *g, scores); },
+      [&](const Matching<V>& matching, obs::ScopedSpan& span) {
         COMMDET_FAULT_POINT(fault::kContract, Phase::kContract);
-        auto contracted = BucketSortContractor<V>{}.contract(g, matching, buffers);
-        buffers.spare = std::exchange(g, std::move(contracted.graph));
+        const auto spare_bytes = buffers.spare.capacity_bytes();
+        auto contracted = BucketSortContractor<V>{}.contract(*g, matching, buffers);
+        span.attr("fresh_bytes", grown_bytes(spare_bytes, contracted.graph.capacity_bytes()));
+        if (g == &owned) buffers.spare = std::move(owned);  // a borrowed input is only read
+        owned = std::move(contracted.graph);
+        g = &owned;
         const auto& new_label = contracted.new_label;
         if (opts.max_community_size > 0) {
-          std::vector<std::int64_t> new_count(static_cast<std::size_t>(g.nv), 0);
+          // A matching contraction gives each new label at most two
+          // preimages, so no slot takes more than two of these adds.
+          std::vector<std::int64_t> new_count(static_cast<std::size_t>(g->nv), 0);
           parallel_for(static_cast<std::int64_t>(new_label.size()), [&](std::int64_t v) {
             std::atomic_ref<std::int64_t>(
                 new_count[static_cast<std::size_t>(new_label[static_cast<std::size_t>(v)])])
@@ -542,8 +556,8 @@ template <VertexId V, EdgeScorer S>
 template <VertexId V, EdgeScorer S>
 [[nodiscard]] Clustering<V> agglomerate(CommunityGraph<V> g, const S& scorer,
                                         const AgglomerationOptions& opts = {}) {
-  return detail::agglomerate_impl(std::move(g), scorer, opts,
-                                  static_cast<CheckpointState<V>*>(nullptr));
+  return detail::agglomerate_impl(std::move(g), static_cast<const CommunityGraph<V>*>(nullptr),
+                                  scorer, opts, static_cast<CheckpointState<V>*>(nullptr));
 }
 
 /// Convenience overload: builds the community graph from a raw edge list.
@@ -570,7 +584,8 @@ template <VertexId V, EdgeScorer S>
                     (ckpt.source_path.empty() ? std::string()
                                               : " from " + ckpt.source_path));
   CommunityGraph<V> g = std::move(ckpt.graph);
-  return detail::agglomerate_impl(std::move(g), scorer, opts, &ckpt);
+  return detail::agglomerate_impl(std::move(g), static_cast<const CommunityGraph<V>*>(nullptr),
+                                  scorer, opts, &ckpt);
 }
 
 }  // namespace commdet

@@ -177,8 +177,9 @@ void apply_refinement(const CommunityGraph<V>& g, Clustering<V>& result,
 }  // namespace detail
 
 /// Detects communities with runtime-selected metric and optional
-/// refinement.  The input graph is retained by the caller (copied into
-/// the driver; refinement needs the original).
+/// refinement.  The input graph is retained by the caller: the driver's
+/// first level reads it in place (refinement needs it too), and it is
+/// never modified.
 template <VertexId V>
 [[nodiscard]] Clustering<V> detect_communities(const CommunityGraph<V>& g,
                                                const DetectOptions& opts = {}) {
@@ -192,7 +193,8 @@ template <VertexId V>
 
   Clustering<V> result =
       detail::with_scorer(opts.scorer, opts.resolution_gamma, [&](const auto& scorer) {
-        return agglomerate(CommunityGraph<V>(g), scorer, agglomeration);
+        return detail::agglomerate_impl(CommunityGraph<V>{}, &g, scorer, agglomeration,
+                                        static_cast<CheckpointState<V>*>(nullptr));
       });
 
   detail::apply_refinement(g, result, mode, opts);
@@ -264,16 +266,18 @@ template <VertexId V>
   return detect_communities(g, opts);
 }
 
-/// Raw edge-list entry point: sanitizes (per opts.sanitize), builds the
-/// community graph, and detects.  Throws CommdetError when the input is
-/// rejected or unrepairable; a run-time failure *after* a valid build
-/// degrades gracefully via the driver instead of throwing.
+/// Raw edge-list entry point: sanitizes (per opts.sanitize) a copy of
+/// the list, builds the community graph, and detects.  Without
+/// sanitization the graph is built from `edges` directly.  Throws
+/// CommdetError when the input is rejected or unrepairable; a run-time
+/// failure *after* a valid build degrades gracefully via the driver
+/// instead of throwing.
 template <VertexId V>
 [[nodiscard]] Clustering<V> detect_communities(const EdgeList<V>& edges,
                                                const DetectOptions& opts = {}) {
+  if (!opts.sanitize_input) return detect_communities(build_community_graph(edges), opts);
   EdgeList<V> cleaned = edges;
-  if (opts.sanitize_input)
-    (void)sanitize_edges(cleaned, opts.sanitize).value_or_throw();
+  (void)sanitize_edges(cleaned, opts.sanitize).value_or_throw();
   return detect_communities(build_community_graph(cleaned), opts);
 }
 

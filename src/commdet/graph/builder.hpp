@@ -7,10 +7,11 @@
 // kernel's range passes (contract/label_contractor.hpp) build it.  One
 // validation pass, then count_label_range folds the self-loops and
 // counts each edge toward its hashed-first bucket with chunk-private
-// counters, scatter_label_range places the edges, and
-// sort_and_accumulate_buckets and copy_out_buckets lay out the sorted,
-// accumulated buckets.  No pass takes a per-edge atomic, and the arrays
-// do not depend on the input's edge order or the thread count.
+// counters, scatter_label_range places the edges straight into the
+// graph's (second, weight) arrays, and sort_and_accumulate_buckets and
+// copy_out_buckets accumulate the buckets and close their gaps in place.
+// No pass takes a per-edge atomic, and the arrays do not depend on the
+// input's edge order or the thread count.
 //
 // apply_delta() is the incremental path: instead of re-running the full
 // build for a small batch of mutations, it classifies each delta
@@ -91,13 +92,11 @@ template <VertexId V>
   CommunityGraph<V> g;
   g.nv = nv;
   g.self_weight.assign(static_cast<std::size_t>(nv), 0);
-  ContractionBuffers<V> scratch;
   (void)detail::bucket_sort_range(detail::RawEdgeRange<V>(input), IdentityLabels<V>{}, V{0},
-                                  nv, std::span<Weight>(g.self_weight), g, scratch,
-                                  kBuildSpans);
-  scratch = {};
+                                  nv, std::span<Weight>(g.self_weight), g, kBuildSpans);
   g.recompute_volumes();
   g.total_weight = g.compute_total_weight();
+  span.attr("fresh_bytes", grown_bytes({}, g.capacity_bytes()));
   return g;
 }
 

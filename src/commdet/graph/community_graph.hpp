@@ -19,6 +19,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -87,6 +88,17 @@ struct CommunityGraph {
     const auto nes = efirst.size();
     return nvs * (2 * sizeof(EdgeId) + 2 * sizeof(Weight)) +
            nes * (2 * sizeof(V) + sizeof(Weight));
+  }
+
+  /// Heap capacity of each array in bytes, in declaration order: what
+  /// the graph holds, and what a contraction that recycles it can fill
+  /// without touching fresh pages.
+  [[nodiscard]] std::array<std::int64_t, 7> capacity_bytes() const noexcept {
+    const auto bytes = [](const auto& v) {
+      return static_cast<std::int64_t>(v.capacity() * sizeof(v[0]));
+    };
+    return {bytes(bucket_begin), bytes(bucket_end), bytes(self_weight), bytes(volume),
+            bytes(efirst),       bytes(esecond),    bytes(eweight)};
   }
 
   /// Recomputes total_weight from the arrays (used by the validator and

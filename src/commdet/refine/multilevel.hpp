@@ -19,6 +19,7 @@
 // vertex refinement.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -68,8 +69,11 @@ MultilevelRefineStats multilevel_refine(const CommunityGraph<V>& g,
     const auto coarse = aggregate_by_labels(g, std::span<const V>(node_of));
     std::vector<V> node_assignment(static_cast<std::size_t>(num_nodes));
     parallel_for(nv, [&](std::int64_t v) {
-      node_assignment[static_cast<std::size_t>(node_of[static_cast<std::size_t>(v)])] =
-          assignment[static_cast<std::size_t>(v)];
+      // Every member of a node stores the same value: its node's
+      // members share one assignment, so the store is relaxed atomic.
+      std::atomic_ref<V>(
+          node_assignment[static_cast<std::size_t>(node_of[static_cast<std::size_t>(v)])])
+          .store(assignment[static_cast<std::size_t>(v)], std::memory_order_relaxed);
     });
 
     const auto r = refine_partition(coarse, node_assignment, opts);

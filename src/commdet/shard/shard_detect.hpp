@@ -55,7 +55,7 @@ template <VertexId V, EdgeScorer S>
   loop.span().attr("shards", static_cast<std::int64_t>(sg.num_shards()));
   loop.span().attr("spill", sg.spill.enabled ? 1 : 0);
   loop.run(
-      sg, /*start_level=*/1,
+      [&]() -> const ShardedGraph<V>& { return sg; }, /*start_level=*/1,
       // With spill enabled the released blocks don't count, which is
       // the entire point of the out-of-core mode.
       [&] { return static_cast<std::int64_t>(sg.resident_bytes()); },
@@ -77,6 +77,7 @@ template <VertexId V, EdgeScorer S>
         auto contracted = contract_sharded(sg, matching);
         sg = std::move(contracted.graph);
         span.attr("shards", static_cast<std::int64_t>(sg.num_shards()));
+        span.attr("fresh_bytes", contracted.fresh_bytes);
         return std::move(contracted.new_label);
       },
       [](int) {});

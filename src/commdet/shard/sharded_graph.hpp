@@ -576,11 +576,9 @@ class ShardedGraphBuilder {
     if (st.num_edges() != expect)
       throw std::logic_error("shard staging does not match the counting pass");
 
-    ContractionBuffers<V> scratch;
     (void)detail::bucket_sort_range(st, IdentityLabels<V>{}, b.lo, b.hi, std::span<Weight>{},
-                                    b, scratch, kBuildSpans);
+                                    b, kBuildSpans);
     st = Stage{};
-    scratch = {};
     const auto ne = static_cast<std::int64_t>(b.efirst.size());
 
     // Edge contributions to both endpoints' volumes (remote endpoints

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -9,6 +11,7 @@
 #include "commdet/gen/rmat.hpp"
 #include "commdet/gen/simple_graphs.hpp"
 #include "commdet/graph/builder.hpp"
+#include "test_support.hpp"
 
 namespace commdet {
 namespace {
@@ -85,6 +88,30 @@ TEST(Agglomerate, MaxCommunitySizeConstrainsMerges) {
   for (const auto c : result.community) ++count[static_cast<std::size_t>(c)];
   for (const auto k : count) EXPECT_LE(k, 4);
   EXPECT_EQ(result.reason, TerminationReason::kNoMatches);
+}
+
+TEST(Agglomerate, SizeCapWithEdgeSweepIsThreadCountIndependent) {
+  // The edge sweep is deterministic and the size-cap fold adds integers,
+  // so a capped run gives the same labels at any thread count; no
+  // community may outgrow the cap.
+  RmatParams p;
+  p.scale = 12;
+  p.edge_factor = 8;
+  const auto el = generate_rmat<V32>(p);
+  AgglomerationOptions opts;
+  opts.matcher = MatcherKind::kEdgeSweep;
+  opts.max_community_size = 25;
+  ThreadCountGuard guard;
+  omp_set_num_threads(1);
+  const auto one = agglomerate(el, ModularityScorer{}, opts);
+  omp_set_num_threads(4);
+  const auto four = agglomerate(el, ModularityScorer{}, opts);
+  EXPECT_EQ(one.community, four.community);
+  EXPECT_EQ(one.levels.size(), four.levels.size());
+  std::vector<std::int64_t> count(static_cast<std::size_t>(four.num_communities), 0);
+  for (const auto c : four.community) ++count[static_cast<std::size_t>(c)];
+  EXPECT_LE(*std::max_element(count.begin(), count.end()), 25);
+  EXPECT_GT(*std::max_element(count.begin(), count.end()), 2) << "the cap never bound";
 }
 
 TEST(Agglomerate, HeavyEdgeScorerWithCoverageStop) {

@@ -22,6 +22,7 @@
 #include "commdet/match/unmatched_list_matcher.hpp"
 #include "commdet/score/score_edges.hpp"
 #include "commdet/score/scorers.hpp"
+#include "test_support.hpp"
 
 namespace commdet {
 namespace {
@@ -176,18 +177,6 @@ void expect_identical(const ContractionResult<V>& a, const ContractionResult<V>&
   EXPECT_EQ(a.graph.bucket_end, b.graph.bucket_end);
 }
 
-/// Restores the ambient OpenMP thread count when it goes out of scope.
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() : saved_(omp_get_max_threads()) {}
-  ~ThreadCountGuard() { omp_set_num_threads(saved_); }
-  ThreadCountGuard(const ThreadCountGuard&) = delete;
-  ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
-
- private:
-  int saved_;
-};
-
 TEST(ContractorEquivalence, BothContractorsProduceIdenticalGraphs) {
   // Level 1 of a scale-14 R-MAT, matched once; both contractors
   // must produce the same arrays bit for bit, at 1 thread and at 4, and
@@ -278,8 +267,8 @@ TEST(ContractionBuffers, RecycledLevelsMatchFreshContraction) {
 TEST(ContractionBuffers, SpareOfAnySizeGivesTheFreshOutput) {
   // The spare's edge arrays may be larger than the output (shrunk in
   // place), smaller but with room to grow (tail initialized), or smaller
-  // than the output's capacity needs (reallocated); the scatter scratch
-  // likewise.  Stale contents must never leak into the result.
+  // than the output's capacity needs (reallocated).  Stale contents must
+  // never leak into the result.
   RmatParams p;
   p.scale = 12;
   p.edge_factor = 8;
@@ -296,11 +285,9 @@ TEST(ContractionBuffers, SpareOfAnySizeGivesTheFreshOutput) {
     const auto fresh = BucketSortContractor<V32>{}.contract(g, m);
     const auto out_ne = static_cast<std::size_t>(fresh.graph.num_edges());
 
-    // Tiny spare and scratch: everything reallocates.
+    // Tiny spare: everything reallocates.
     ContractionBuffers<V32> tiny;
     tiny.spare = build_community_graph(make_path<V32>(5));
-    tiny.scatter_second.assign(3, 7);
-    tiny.scatter_weight.assign(3, 9);
     expect_identical(fresh, BucketSortContractor<V32>{}.contract(g, m, tiny), "tiny spare");
 
     // Large capacity, small size: the arrays grow within their capacity.
@@ -309,20 +296,119 @@ TEST(ContractionBuffers, SpareOfAnySizeGivesTheFreshOutput) {
     shrunk.spare.efirst.resize(out_ne / 2);
     shrunk.spare.esecond.resize(out_ne / 2);
     shrunk.spare.eweight.resize(out_ne / 2);
-    shrunk.scatter_second.assign(out_ne, 5);
-    shrunk.scatter_second.resize(10);
-    shrunk.scatter_weight.assign(out_ne, 5);
-    shrunk.scatter_weight.resize(10);
     ASSERT_GE(shrunk.spare.esecond.capacity(), out_ne);
     expect_identical(fresh, BucketSortContractor<V32>{}.contract(g, m, shrunk), "shrunk spare");
 
     // Larger than the output: shrunk in place, stale tail ignored.
     ContractionBuffers<V32> large;
     large.spare = g;
-    large.scatter_second.assign(static_cast<std::size_t>(g.num_edges()) * 2, 3);
-    large.scatter_weight.assign(static_cast<std::size_t>(g.num_edges()) * 2, 3);
     expect_identical(fresh, BucketSortContractor<V32>{}.contract(g, m, large), "large spare");
     EXPECT_TRUE(large.spare.efirst.empty()) << "the output takes over the spare";
+  }
+}
+
+TEST(CopyOutBuckets, InPlaceMatchesCopy) {
+  // Bucket v holds cap[v] scattered entries at off[v] - base, of which
+  // the first len[v] survived accumulation.  Copying them out of the
+  // scatter arrays and compacting them in place inside the output's own
+  // arrays must give the same graph arrays, equal to a serial reference,
+  // whatever the layout: shifts of zero, shifts shorter than the run
+  // they move (one block, or staged blocks in parallel) and longer ones
+  // (parallel rounds).  `lead` entries ahead of bucket 0 (off[0] > base,
+  // as for one block of a window) must be closed too.
+  struct Layout {
+    const char* name;
+    std::vector<EdgeId> cap;
+    std::vector<EdgeId> len;
+    EdgeId lead = 0;
+  };
+  std::mt19937_64 rng(22);
+  const auto below = [&](EdgeId n) { return static_cast<EdgeId>(rng() % static_cast<std::uint64_t>(n)); };
+  std::vector<Layout> layouts;
+  const auto add = [&](const char* name, std::int64_t nb, auto&& cap_of, auto&& len_of) {
+    Layout l{name, {}, {}};
+    for (std::int64_t v = 0; v < nb; ++v) {
+      l.cap.push_back(cap_of(v));
+      l.len.push_back(len_of(v, l.cap.back()));
+    }
+    layouts.push_back(std::move(l));
+  };
+  const auto random_cap = [&](std::int64_t) { return below(40); };
+  const auto random_len = [&](std::int64_t, EdgeId c) { return c == 0 ? 0 : 1 + below(c); };
+  add("random", 40000, random_cap, random_len);
+  add("no shrink", 40000, random_cap, [](std::int64_t, EdgeId c) { return c; });
+  add("all shrunk to one entry", 40000, random_cap,
+      [](std::int64_t, EdgeId c) { return std::min<EdgeId>(c, 1); });
+  add("empty leading buckets", 60000,
+      [&](std::int64_t v) { return v < 30000 ? 0 : below(40); }, random_len);
+  add("one huge bucket", 20000,
+      [&](std::int64_t v) { return v == 7000 ? 400000 : below(20); }, random_len);
+  add("alternating empty and full", 40000,
+      [&](std::int64_t v) { return v % 2 == 0 ? 0 : 1 + below(40); }, random_len);
+  add("few shrinks", 40000, random_cap,
+      [&](std::int64_t, EdgeId c) { return c > 0 && below(500) == 0 ? c - 1 : c; });
+  add("tenth shrinks", 60000, random_cap,
+      [&](std::int64_t, EdgeId c) { return c > 0 && below(10) == 0 ? c / 2 : c; });
+  add("tiny", 5, [](std::int64_t v) { return v; }, [](std::int64_t, EdgeId c) { return c / 2; });
+  add("none", 0, random_cap, random_len);
+  add("short leading gap", 40000, random_cap,
+      [](std::int64_t, EdgeId c) { return c; });
+  layouts.back().lead = 5;
+  add("long leading gap", 40000, random_cap, random_len);
+  layouts.back().lead = 100000;
+
+  ThreadCountGuard guard;
+  const V32 lo = 7;
+  const EdgeId base = 1000;
+  for (const auto& layout : layouts) {
+    SCOPED_TRACE(layout.name);
+    const auto nb = layout.cap.size();
+    std::vector<EdgeId> off{base + layout.lead};
+    for (const EdgeId c : layout.cap) off.push_back(off.back() + c);
+    const auto total = static_cast<std::size_t>(off.back() - base);
+    std::vector<V32> second(total);
+    std::vector<Weight> weight(total);
+    for (std::size_t i = 0; i < total; ++i) {
+      second[i] = static_cast<V32>(rng() % 1000000);
+      weight[i] = static_cast<Weight>(rng() % 100);
+    }
+    CommunityGraph<V32> expect;
+    for (std::size_t v = 0; v < nb; ++v) {
+      expect.bucket_begin.push_back(static_cast<EdgeId>(expect.efirst.size()));
+      for (EdgeId k = 0; k < layout.len[v]; ++k) {
+        const auto at = static_cast<std::size_t>(off[v] - base + k);
+        expect.efirst.push_back(lo + static_cast<V32>(v));
+        expect.esecond.push_back(second[at]);
+        expect.eweight.push_back(weight[at]);
+      }
+      expect.bucket_end.push_back(static_cast<EdgeId>(expect.efirst.size()));
+    }
+    const auto offs = std::span<const EdgeId>(off);
+    const auto lens = std::span<const EdgeId>(layout.len);
+    for (const int threads : {1, 3, 4}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads");
+      omp_set_num_threads(threads);
+      CommunityGraph<V32> copied;
+      copied.esecond.assign(3, 5);  // stale contents are overwritten
+      const EdgeId copied_ne = copy_out_buckets(offs, base, lens, std::span<const V32>(second),
+                                                std::span<const Weight>(weight), lo, copied);
+      CommunityGraph<V32> in_place;
+      in_place.esecond = second;
+      in_place.eweight = weight;
+      const EdgeId in_place_ne = copy_out_buckets(
+          offs, base, lens, std::span<const V32>(in_place.esecond),
+          std::span<const Weight>(in_place.eweight), lo, in_place);
+      EXPECT_EQ(copied_ne, expect.num_edges());
+      EXPECT_EQ(in_place_ne, expect.num_edges());
+      for (const auto* got : {&copied, &in_place}) {
+        EXPECT_EQ(got->efirst, expect.efirst);
+        EXPECT_EQ(got->esecond, expect.esecond);
+        EXPECT_EQ(got->eweight, expect.eweight);
+        EXPECT_EQ(got->bucket_begin, expect.bucket_begin);
+        EXPECT_EQ(got->bucket_end, expect.bucket_end);
+      }
+      EXPECT_GE(in_place.esecond.capacity(), total) << "in place keeps the scatter's capacity";
+    }
   }
 }
 

@@ -1,19 +1,128 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <bit>
 #include <cstdint>
+#include <filesystem>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "commdet/core/detect.hpp"
 #include "commdet/core/metrics.hpp"
 #include "commdet/gen/planted_partition.hpp"
+#include "commdet/gen/rmat.hpp"
 #include "commdet/gen/simple_graphs.hpp"
 #include "commdet/graph/builder.hpp"
+#include "commdet/robust/checkpoint.hpp"
+#include "test_support.hpp"
 
 namespace commdet {
 namespace {
 
 using V32 = std::int32_t;
+
+void expect_same_graph(const CommunityGraph<V32>& a, const CommunityGraph<V32>& b) {
+  EXPECT_EQ(a.nv, b.nv);
+  EXPECT_EQ(a.total_weight, b.total_weight);
+  EXPECT_EQ(a.bucket_begin, b.bucket_begin);
+  EXPECT_EQ(a.bucket_end, b.bucket_end);
+  EXPECT_EQ(a.self_weight, b.self_weight);
+  EXPECT_EQ(a.volume, b.volume);
+  EXPECT_EQ(a.efirst, b.efirst);
+  EXPECT_EQ(a.esecond, b.esecond);
+  EXPECT_EQ(a.eweight, b.eweight);
+}
+
+/// Labels, per-level trajectory and quality, bit for bit.
+void expect_same_run(const Clustering<V32>& a, const Clustering<V32>& b) {
+  EXPECT_EQ(a.community, b.community);
+  EXPECT_EQ(a.num_communities, b.num_communities);
+  EXPECT_EQ(a.reason, b.reason);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.final_modularity),
+            std::bit_cast<std::uint64_t>(b.final_modularity));
+  ASSERT_EQ(a.levels.size(), b.levels.size());
+  for (std::size_t k = 0; k < a.levels.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "level " << k + 1);
+    const auto& x = a.levels[k];
+    const auto& y = b.levels[k];
+    EXPECT_EQ(x.nv_before, y.nv_before);
+    EXPECT_EQ(x.ne_before, y.ne_before);
+    EXPECT_EQ(x.positive_edges, y.positive_edges);
+    EXPECT_EQ(x.pairs_matched, y.pairs_matched);
+    EXPECT_EQ(x.nv_after, y.nv_after);
+    EXPECT_EQ(x.ne_after, y.ne_after);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x.modularity), std::bit_cast<std::uint64_t>(y.modularity));
+  }
+}
+
+TEST(DetectFacade, BorrowedInputIsUntouchedAndMatchesOwnedRun) {
+  // detect_communities reads the caller's graph in place at level 1 and
+  // never recycles it; the by-value driver recycles its own copy.  Both
+  // must take the same trajectory (one thread: the default matcher is
+  // deterministic there), and the caller's graph must come back as it was.
+  RmatParams p;
+  p.scale = 12;
+  p.edge_factor = 8;
+  const auto g = build_community_graph(generate_rmat<V32>(p));
+  const auto pristine = g;
+  ThreadCountGuard guard;
+  omp_set_num_threads(1);
+
+  struct Case {
+    const char* name;
+    AgglomerationOptions agg;
+  };
+  std::vector<Case> cases(3);
+  cases[0].name = "default matcher";
+  cases[1].name = "edge sweep";
+  cases[1].agg.matcher = MatcherKind::kEdgeSweep;
+  cases[2].name = "size cap";
+  cases[2].agg.max_community_size = 40;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    DetectOptions opts;
+    opts.agglomeration = c.agg;
+    const auto borrowed = detect_communities(g, opts);
+    expect_same_graph(g, pristine);
+    const auto owned = agglomerate(CommunityGraph<V32>(g), ModularityScorer{}, c.agg);
+    EXPECT_GE(owned.levels.size(), 3u);
+    expect_same_run(borrowed, owned);
+  }
+
+  // Checkpointing every level, then resuming from the first generation.
+  const ScopedTempDir scoped_dir("commdet_borrowed");
+  const auto dir = scoped_dir.string();
+  {
+    SCOPED_TRACE("checkpoint every level");
+    const auto owned = agglomerate(CommunityGraph<V32>(g), ModularityScorer{});
+    DetectOptions opts;
+    opts.agglomeration.checkpoint.directory = dir;
+    opts.agglomeration.checkpoint.every_levels = 1;
+    opts.agglomeration.checkpoint.keep_generations = 1 << 20;
+    expect_same_run(detect_communities(g, opts), owned);
+    expect_same_graph(g, pristine);
+    const auto generations = list_checkpoints(dir);
+    ASSERT_GE(generations.size(), 2u);
+    auto first = read_checkpoint_file<V32>(generations.back().second);  // newest first
+    EXPECT_EQ(first.next_level, 2);
+    expect_same_run(resume_detect(g, std::move(first), opts), owned);
+
+    // A stop before level 1 completes checkpoints the borrowed input itself.
+    std::filesystem::remove_all(dir);
+    opts.agglomeration.budget.max_seconds = 1e-12;
+    const auto stopped = detect_communities(g, opts);
+    EXPECT_EQ(stopped.reason, TerminationReason::kCheckpointed);
+    EXPECT_TRUE(stopped.levels.empty());
+    auto before_level_1 = load_latest_checkpoint<V32>(dir);
+    ASSERT_TRUE(before_level_1.has_value());
+    EXPECT_EQ(before_level_1->next_level, 1);
+    expect_same_graph(before_level_1->graph, pristine);
+    opts.agglomeration.budget.max_seconds = 0.0;
+    expect_same_run(resume_detect(g, std::move(*before_level_1), opts), owned);
+  }
+}
 
 TEST(DetectFacade, ModularityMatchesTemplatedDriver) {
   const auto g = build_community_graph(make_caveman<V32>(8, 6));

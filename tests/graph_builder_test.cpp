@@ -16,6 +16,7 @@
 #include "commdet/graph/stats.hpp"
 #include "commdet/graph/validate.hpp"
 #include "commdet/util/rng.hpp"
+#include "test_support.hpp"
 
 namespace commdet {
 namespace {
@@ -130,18 +131,6 @@ TYPED_TEST(BuilderTypedTest, RejectsBadInput) {
   big.edges.back().v = 0;
   EXPECT_EQ(build_error(big), weight);
 }
-
-/// Restores the ambient OpenMP thread count when it goes out of scope.
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() : saved_(omp_get_max_threads()) {}
-  ~ThreadCountGuard() { omp_set_num_threads(saved_); }
-  ThreadCountGuard(const ThreadCountGuard&) = delete;
-  ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
-
- private:
-  int saved_;
-};
 
 /// Serial reference build: self-loops fold into self weights, every
 /// other edge is hashed into storage order, the triples are sorted by

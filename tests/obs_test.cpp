@@ -16,11 +16,13 @@
 #include <numeric>
 #include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
 #include "commdet/cc/connected_components.hpp"
 #include "commdet/core/agglomerate.hpp"
+#include "commdet/core/detect.hpp"
 #include "commdet/gen/rmat.hpp"
 #include "commdet/gen/simple_graphs.hpp"
 #include "commdet/graph/builder.hpp"
@@ -415,6 +417,62 @@ TEST(ObsReport, InstrumentedRunTracesEveryPhase) {
   EXPECT_GT(snap.at("match.proposals"), 0);
   EXPECT_GT(snap.at("contract.edges_in"), 0);
   ASSERT_TRUE(snap.contains("agglomerate.rss_hwm_bytes"));
+}
+
+TEST(ObsReport, ContractAndBuildSpansReportFreshBytes) {
+  // fresh_bytes is what a pass's arrays grew their capacity by.  The
+  // build sizes a new graph; through detect_communities level 1 reads
+  // the caller's graph and level 2 has no spare yet, so both allocate,
+  // while every later level fits the retired graph it recycles.  The
+  // by-value driver recycles its input from level 2 on.
+  RmatParams p;
+  p.scale = 14;
+  p.edge_factor = 8;
+  const auto el = generate_rmat<V32>(p);
+  const auto fresh_bytes_of = [](const obs::Trace& trace, std::string_view name) {
+    std::vector<std::int64_t> out;
+    for (const auto& s : trace.spans()) {
+      if (s.name != name) continue;
+      const auto attr = std::find_if(s.attrs.begin(), s.attrs.end(),
+                                     [](const obs::Attr& a) { return a.key == "fresh_bytes"; });
+      EXPECT_NE(attr, s.attrs.end()) << name << " span without fresh_bytes";
+      if (attr != s.attrs.end()) out.push_back(std::get<std::int64_t>(attr->value));
+    }
+    return out;
+  };
+
+  CommunityGraph<V32> g;
+  {
+    obs::Trace trace;
+    obs::TraceSession ts(trace);
+    g = build_community_graph(el);
+    const auto build = fresh_bytes_of(trace, "graph.build");
+    ASSERT_EQ(build.size(), 1u);
+    const auto capacity = g.capacity_bytes();
+    EXPECT_EQ(build[0], std::accumulate(capacity.begin(), capacity.end(), std::int64_t{0}));
+  }
+  {
+    obs::Trace trace;
+    obs::TraceSession ts(trace);
+    const auto result = detect_communities(g);
+    const auto contract = fresh_bytes_of(trace, "contract");
+    ASSERT_GE(contract.size(), 3u);
+    EXPECT_EQ(contract.size(), result.levels.size());
+    EXPECT_GT(contract[0], 0);
+    EXPECT_GT(contract[1], 0);
+    for (std::size_t k = 2; k < contract.size(); ++k)
+      EXPECT_EQ(contract[k], 0) << "level " << k + 1 << " outgrew its spare";
+  }
+  {
+    obs::Trace trace;
+    obs::TraceSession ts(trace);
+    (void)agglomerate(CommunityGraph<V32>(g), ModularityScorer{});
+    const auto contract = fresh_bytes_of(trace, "contract");
+    ASSERT_GE(contract.size(), 2u);
+    EXPECT_GT(contract[0], 0);
+    for (std::size_t k = 1; k < contract.size(); ++k)
+      EXPECT_EQ(contract[k], 0) << "level " << k + 1 << " outgrew its spare";
+  }
 }
 
 TEST(ObsReport, KernelSpansAndCountersExplainSortAndMatchWork) {

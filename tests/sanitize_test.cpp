@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cstdint>
 #include <limits>
 
 #include "commdet/core/detect.hpp"
 #include "commdet/gen/simple_graphs.hpp"
+#include "commdet/graph/builder.hpp"
 #include "commdet/graph/edge_list.hpp"
 #include "commdet/robust/sanitize.hpp"
+#include "test_support.hpp"
 
 namespace commdet {
 namespace {
@@ -150,6 +153,20 @@ TEST(Sanitize, DetectFacadeSanitizationCanBeDisabled) {
   // Without the sweep the builder sees the bad endpoint and throws its
   // pre-existing invalid_argument.
   EXPECT_THROW((void)detect_communities(el, opts), std::invalid_argument);
+
+  // A valid list with a duplicate edge and a self-loop, which a sweep
+  // would rewrite: unsanitized, the facade builds from the list as given
+  // and leaves it as it was.
+  auto good = make_caveman<V32>(4, 5);
+  good.add(1, 0);
+  good.add(3, 3);
+  const auto before = good.edges;
+  ThreadCountGuard guard;
+  omp_set_num_threads(1);  // the default matcher is deterministic on one thread
+  const auto facade = detect_communities(good, opts);
+  const auto built = detect_communities(build_community_graph(good), opts);
+  EXPECT_EQ(facade.community, built.community);
+  EXPECT_EQ(good.edges, before);
 }
 
 }  // namespace
