@@ -4,14 +4,14 @@
 #   1. ASan + UBSan over the full tier-1 suite, then the contraction,
 #      bucket copy-out, detection-facade, matching (edge-sweep kernel
 #      included), shard, graph-build,
-#      largest-component, delta-apply and parallel-primitive tests again
-#      at OMP_NUM_THREADS=4,
+#      largest-component, delta-apply, edge-array allocator and
+#      parallel-primitive tests again at OMP_NUM_THREADS=4,
 #   2. TSan at OMP_NUM_THREADS=4 over the parallel primitives, the
-#      concurrency-heavy matcher/contraction/driver and delta-apply tests
-#      plus the streaming-service suite (a full TSan run is minutes of
-#      overhead; the data-race surface lives in match/, contract/, the
-#      parallel primitives, and the serve writer/reader exchange), and a
-#      canary race that TSan must report.
+#      concurrency-heavy matcher/contraction/driver, delta-apply and
+#      edge-array allocator tests plus the streaming-service suite (a
+#      full TSan run is minutes of overhead; the data-race surface lives
+#      in match/, contract/, the parallel primitives, and the serve
+#      writer/reader exchange), and a canary race that TSan must report.
 #
 # Usage: scripts/check_sanitizers.sh [asan|tsan|all]   (default: all)
 set -euo pipefail
@@ -30,7 +30,7 @@ run_asan() {
   echo "== ASan + UBSan: kernel tests at 4 threads =="
   OMP_NUM_THREADS=4 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure -j "${jobs}" \
-      -R 'Contract|SortAndAccumulate|CopyOut|DetectFacade|Match|UnmatchedList|EdgeSweep|Shard|Builder|Cc|ApplyDelta|Parallel|PrefixSum|Compact|Sort|Histogram|Metrics'
+      -R 'Contract|SortAndAccumulate|CopyOut|DetectFacade|Match|UnmatchedList|EdgeSweep|Shard|Builder|Cc|ApplyDelta|BigArray|Parallel|PrefixSum|Compact|Sort|Histogram|Metrics'
 }
 
 run_tsan() {
@@ -50,7 +50,7 @@ run_tsan() {
     util_parallel_test util_spinlock_test match_test contract_test \
     agglomerate_test robust_budget_test sanitize_test obs_test \
     serve_test telemetry_test cluster_test algo_test shard_test dyn_test \
-    detect_facade_test tsan_canary > /dev/null
+    detect_facade_test big_array_test tsan_canary > /dev/null
   # libgomp is not instrumented; util/parallel.hpp, the only code that
   # opens an OpenMP region, tells TSan where each region forks and joins,
   # so the suite runs at 4 threads.  TsanCanary races on purpose and must
@@ -58,7 +58,7 @@ run_tsan() {
   # lock-bit happens-before from TSan; scripts/tsan.supp suppresses that.
   OMP_NUM_THREADS=4 TSAN_OPTIONS="halt_on_error=1 suppressions=$(pwd)/scripts/tsan.supp" \
     ctest --test-dir build-tsan --output-on-failure -j "${jobs}" \
-      -R "ParallelFor|ParallelSum|ParallelCount|ParallelMax|ParallelExceptions|ExceptionCollector|PrefixSum|Compact|Sort|Histogram|Spinlock|Match|EdgeSweep|Contract|CopyOut|DetectFacade|Agglomerate|Sanitize|BudgetTracker|Obs|Serve|Telemetry|Cluster|Algo|Shard|ApplyDelta|TsanCanary"
+      -R "ParallelFor|ParallelSum|ParallelCount|ParallelMax|ParallelExceptions|ExceptionCollector|PrefixSum|Compact|Sort|Histogram|Spinlock|Match|EdgeSweep|Contract|CopyOut|DetectFacade|Agglomerate|Sanitize|BudgetTracker|Obs|Serve|Telemetry|Cluster|Algo|Shard|ApplyDelta|BigArray|TsanCanary"
 }
 
 case "${mode}" in

@@ -123,7 +123,7 @@ template <VertexId V>
   });
   EdgeList<V> out;
   out.num_vertices = exclusive_prefix_sum(std::span<V>(new_id));
-  out.edges = parallel_compact(
+  out.edges = parallel_compact<decltype(out.edges)>(
       std::span<const RawEdge<V>>(g.edges),
       [&](const RawEdge<V>& e) { return labels[static_cast<std::size_t>(e.u)] == root; },
       [&](const RawEdge<V>& e) {

@@ -155,11 +155,11 @@ BucketAccumulation sort_and_accumulate_buckets(std::span<const EdgeId> off, Edge
 }
 
 /// Caller-owned storage that successive contractions recycle.  A fresh
-/// edge array larger than glibc's mmap threshold (32 MB) is mapped anew
-/// and page-faulted on first touch at every level; reusing the previous
-/// level's arrays skips both the faults and the single-threaded value
-/// initialization.  `spare` is a retired graph (typically the input of
-/// the previous level) whose arrays the next output takes over.
+/// edge array of at least one huge page is mapped anew (util/big_array.hpp)
+/// and page-faulted on first touch, by the pass that fills it; reusing the
+/// previous level's arrays skips the faults.  `spare` is a retired graph
+/// (typically the input of the previous level) whose arrays the next
+/// output takes over.
 template <VertexId V>
 struct ContractionBuffers {
   CommunityGraph<V> spare;
@@ -184,12 +184,14 @@ template <std::size_t K>
 
 namespace detail {
 
-/// Sizes `v` to `n` for a pass that overwrites every element.  Within
-/// the recycled capacity this initializes at most the grown tail; past
-/// it the old contents are dropped first rather than copied.
-template <typename T>
-void resize_for_overwrite(std::vector<T>& v, std::size_t n) {
-  if (v.capacity() < n) v = std::vector<T>();
+/// Sizes `v` to `n` for a pass that overwrites every element.  Past the
+/// recycled capacity the old contents are dropped first rather than
+/// copied.  A BigVector leaves the new elements unwritten, for that pass
+/// to first-touch in parallel; a std::vector (the vertex-sized cursors)
+/// value-initializes its grown tail on the calling thread.
+template <typename Vec>
+void resize_for_overwrite(Vec& v, std::size_t n) {
+  if (v.capacity() < n) v = Vec();
   v.resize(n);
 }
 
@@ -355,7 +357,7 @@ EdgeId copy_out_buckets(std::span<const EdgeId> off, EdgeId base, std::span<cons
   final_off.push_back(0);
   const EdgeId final_ne = exclusive_prefix_sum(std::span<EdgeId>(final_off));
   const bool in_place = second.data() == out.esecond.data();
-  assert(in_place == (weight.data() == out.eweight.data()) &&
+  assert((second.empty() || in_place == (weight.data() == out.eweight.data())) &&
          "copy_out_buckets: second and weight must both be out's arrays, or neither");
   detail::resize_for_overwrite(out.efirst, static_cast<std::size_t>(final_ne));
   if (!in_place) {
@@ -494,8 +496,8 @@ std::int64_t bucket_sort_range(const E& edges, const L& labels, V lo, V hi,
 
   obs::ScopedSpan scatter_span(spans.scatter);
   scatter_span.attr("edges", static_cast<std::int64_t>(live));
-  resize_for_overwrite(out.esecond, static_cast<std::size_t>(live));
-  resize_for_overwrite(out.eweight, static_cast<std::size_t>(live));
+  detail::resize_for_overwrite(out.esecond, static_cast<std::size_t>(live));
+  detail::resize_for_overwrite(out.eweight, static_cast<std::size_t>(live));
   scatter_label_range(edges, labels, chunks, std::span<const EdgeId>(counts), 0,
                       std::span<V>(out.esecond), std::span<Weight>(out.eweight));
   chunks = {};

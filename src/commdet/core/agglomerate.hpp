@@ -60,7 +60,7 @@ namespace detail {
 
 template <VertexId V>
 [[nodiscard]] Matching<V> run_matcher(MatcherKind kind, const CommunityGraph<V>& g,
-                                      const std::vector<Score>& scores) {
+                                      std::span<const Score> scores) {
   COMMDET_FAULT_POINT(fault::kMatch, Phase::kMatch);
   switch (kind) {
     case MatcherKind::kEdgeSweep:
@@ -485,7 +485,7 @@ template <VertexId V, EdgeScorer S>
   // Contraction storage recycled across levels: each replaced graph the
   // driver owns becomes the spare whose arrays the next contraction fills.
   ContractionBuffers<V> buffers;
-  std::vector<Score> scores;
+  BigVector<Score> scores;
   loop.run(
       [&]() -> const CommunityGraph<V>& { return *g; }, start_level,
       // The memory check counts the recycled storage with the live graph.

@@ -443,9 +443,9 @@ class DynamicCommunities {
       out.base_.bucket_end = r.template read_i64_array<EdgeId>();
       out.base_.self_weight = r.template read_i64_array<Weight>();
       out.base_.volume = r.template read_i64_array<Weight>();
-      out.base_.efirst = r.template read_i64_array<V>();
-      out.base_.esecond = r.template read_i64_array<V>();
-      out.base_.eweight = r.template read_i64_array<Weight>();
+      out.base_.efirst = r.template read_i64_array<V, BigVector<V>>();
+      out.base_.esecond = r.template read_i64_array<V, BigVector<V>>();
+      out.base_.eweight = r.template read_i64_array<Weight, BigVector<Weight>>();
       out.base_.total_weight = r.read_i64();
       out.clustering_.community = r.template read_i64_array<V>();
       out.clustering_.num_communities = r.read_i64();

@@ -284,9 +284,10 @@ EdgeId merge_delta_range(const In& in, V lo, V hi, std::span<const EdgeDelta<V>>
   parallel_for(nb, [&](std::int64_t v) {
     out.bucket_end[static_cast<std::size_t>(v)] = cursors[static_cast<std::size_t>(v) + 1];
   });
-  out.efirst.assign(static_cast<std::size_t>(ne_new), V{});
-  out.esecond.assign(static_cast<std::size_t>(ne_new), V{});
-  out.eweight.assign(static_cast<std::size_t>(ne_new), 0);
+  // Sized, not filled: the merge below writes every entry of every bucket.
+  resize_for_overwrite(out.efirst, static_cast<std::size_t>(ne_new));
+  resize_for_overwrite(out.esecond, static_cast<std::size_t>(ne_new));
+  resize_for_overwrite(out.eweight, static_cast<std::size_t>(ne_new));
 
   // Per-bucket merge of the old sorted bucket with its delta run (both
   // sorted by second endpoint).  Buckets without deltas are plain copies.
@@ -331,7 +332,8 @@ EdgeId merge_delta_range(const In& in, V lo, V hi, std::span<const EdgeDelta<V>>
       ++di;
       while (di != dhi && kind[delta_index(di)] == 3) ++di;
     }
-    assert(w == out.bucket_end[vi] && "merged bucket size mismatch");
+    assert(w - out.bucket_begin[vi] == cursors[vi + 1] - cursors[vi] &&
+           "merged bucket wrote other than its counted entries");
   });
 
   // Incremental volume / total-weight maintenance from effective deltas

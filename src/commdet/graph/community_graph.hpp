@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "commdet/util/big_array.hpp"
 #include "commdet/util/parallel.hpp"
 #include "commdet/util/types.hpp"
 
@@ -59,9 +60,9 @@ struct CommunityGraph {
 
   /// Edge triples, structure-of-arrays.  efirst[e] is the owning bucket's
   /// vertex; (efirst[e], esecond[e]) is in hashed order; efirst != esecond.
-  std::vector<V> efirst;
-  std::vector<V> esecond;
-  std::vector<Weight> eweight;
+  BigVector<V> efirst;
+  BigVector<V> esecond;
+  BigVector<Weight> eweight;
 
   /// Total graph weight W = sum of all edge weights + all self weights.
   /// Invariant across contraction levels.
@@ -104,7 +105,7 @@ struct CommunityGraph {
   /// Recomputes total_weight from the arrays (used by the validator and
   /// after hand-construction in tests).
   [[nodiscard]] Weight compute_total_weight() const {
-    const auto sum = [](const std::vector<Weight>& w) {
+    const auto sum = [](const auto& w) {
       return parallel_sum<Weight>(static_cast<std::int64_t>(w.size()),
                                   [&](std::int64_t i) { return w[static_cast<std::size_t>(i)]; });
     };

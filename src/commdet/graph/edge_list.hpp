@@ -4,8 +4,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "commdet/util/big_array.hpp"
 #include "commdet/util/types.hpp"
 
 namespace commdet {
@@ -24,7 +24,7 @@ struct RawEdge {
 template <VertexId V>
 struct EdgeList {
   V num_vertices = 0;
-  std::vector<RawEdge<V>> edges;
+  BigVector<RawEdge<V>> edges;
 
   [[nodiscard]] std::int64_t num_edges() const noexcept {
     return static_cast<std::int64_t>(edges.size());

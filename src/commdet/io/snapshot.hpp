@@ -39,6 +39,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -117,13 +118,14 @@ class SnapshotWriter {
   void write_i64(std::int64_t v) { write_bytes(&v, sizeof v); }
   void write_f64(double v) { write_bytes(&v, sizeof v); }
 
-  /// Writes `values` as a count-prefixed i64 array (labels and weights
-  /// are widened to 64 bits on disk so 32- and 64-bit vertex-label
-  /// builds can read each other's snapshots).
-  template <typename T>
-  void write_i64_array(const std::vector<T>& values) {
-    write_i64(static_cast<std::int64_t>(values.size()));
-    if constexpr (sizeof(T) == sizeof(std::int64_t)) {
+  /// Writes `values` (a span, or a vector of either allocator) as a
+  /// count-prefixed i64 array (labels and weights are widened to 64 bits
+  /// on disk so 32- and 64-bit vertex-label builds can read each other's
+  /// snapshots).
+  template <std::ranges::contiguous_range R>
+  void write_i64_array(const R& values) {
+    write_i64(static_cast<std::int64_t>(std::ranges::size(values)));
+    if constexpr (sizeof(std::ranges::range_value_t<R>) == sizeof(std::int64_t)) {
       write_bytes(values.data(), values.size() * sizeof(std::int64_t));
     } else {
       std::array<std::int64_t, 4096> chunk;
@@ -299,15 +301,16 @@ class SnapshotReader {
   [[nodiscard]] double read_f64() { return read_pod<double>(); }
 
   /// Reads a count-prefixed i64 array written by write_i64_array,
-  /// narrowing to T with a range check.  The count is validated against
-  /// the remaining payload bytes before any allocation.
-  template <typename T>
-  [[nodiscard]] std::vector<T> read_i64_array() {
+  /// narrowing to T with a range check, into a Vec (a BigVector for the
+  /// edge arrays).  The count is validated against the remaining payload
+  /// bytes before any allocation.
+  template <typename T, typename Vec = std::vector<T>>
+  [[nodiscard]] Vec read_i64_array() {
     const std::int64_t count = read_i64();
     if (count < 0 ||
         static_cast<std::uint64_t>(count) * sizeof(std::int64_t) > remaining_)
       fail_format("array length exceeds snapshot payload");
-    std::vector<T> out(static_cast<std::size_t>(count));
+    Vec out(static_cast<std::size_t>(count));
     if constexpr (sizeof(T) == sizeof(std::int64_t)) {
       read_bytes(out.data(), out.size() * sizeof(std::int64_t));
     } else {

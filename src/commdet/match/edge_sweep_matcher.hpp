@@ -34,6 +34,7 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -203,7 +204,7 @@ template <VertexId V>
 class EdgeSweepMatcher {
  public:
   [[nodiscard]] Matching<V> match(const CommunityGraph<V>& g,
-                                  const std::vector<Score>& scores) const {
+                                  std::span<const Score> scores) const {
     std::vector<std::uint64_t> live;
     return edge_sweep_match<V>(
         static_cast<std::int64_t>(g.nv),

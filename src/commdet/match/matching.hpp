@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "commdet/graph/community_graph.hpp"
@@ -84,7 +85,7 @@ template <VertexId V>
 /// unmatched vertices.
 template <VertexId V>
 [[nodiscard]] bool is_maximal_matching(const CommunityGraph<V>& g,
-                                       const std::vector<Score>& scores,
+                                       std::span<const Score> scores,
                                        const Matching<V>& m) {
   const EdgeId ne = g.num_edges();
   for (EdgeId e = 0; e < ne; ++e) {
@@ -100,7 +101,7 @@ template <VertexId V>
 /// Total score of the matched edges (each matched pair counted once).
 template <VertexId V>
 [[nodiscard]] Score matching_weight(const CommunityGraph<V>& g,
-                                    const std::vector<Score>& scores,
+                                    std::span<const Score> scores,
                                     const Matching<V>& m) {
   Score total = 0.0;
   const EdgeId ne = g.num_edges();

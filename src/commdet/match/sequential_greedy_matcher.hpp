@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "commdet/graph/community_graph.hpp"
@@ -21,7 +22,7 @@ template <VertexId V>
 class SequentialGreedyMatcher {
  public:
   [[nodiscard]] Matching<V> match(const CommunityGraph<V>& g,
-                                  const std::vector<Score>& scores) const {
+                                  std::span<const Score> scores) const {
     const EdgeId ne = g.num_edges();
     Matching<V> result;
     result.mate.assign(static_cast<std::size_t>(g.nv), kNoVertex<V>);

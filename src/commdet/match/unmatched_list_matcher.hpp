@@ -43,7 +43,7 @@ template <VertexId V>
 class UnmatchedListMatcher {
  public:
   [[nodiscard]] Matching<V> match(const CommunityGraph<V>& g,
-                                  const std::vector<Score>& scores) const {
+                                  std::span<const Score> scores) const {
     const auto nv = static_cast<std::int64_t>(g.nv);
     Matching<V> result;
     result.mate.assign(static_cast<std::size_t>(nv), kNoVertex<V>);

@@ -12,7 +12,10 @@
 //     "threads": <omp max threads>,
 //     "info": { <free-form string pairs: graph name, scorer, flags> },
 //     "platform": { cpu_model, logical_cpus, omp_max_threads, cpu_mhz,
-//                   total_ram_bytes, openmp_version } | null,
+//                   total_ram_bytes, openmp_version,
+//                   thp_mode } | null,
+//                                // thp_mode: the host's transparent huge
+//                                // page mode (added within schema version 1)
 //     "graph": { num_vertices, num_edges, total_weight, self_loop_weight,
 //                min_degree, max_degree, mean_degree, isolated_vertices,
 //                degree_distribution: <distribution> | null } | null,
@@ -225,6 +228,8 @@ inline void write_platform(JsonWriter& w, const PlatformInfo* p) {
   w.value(p->total_ram_bytes);
   w.key("openmp_version");
   w.value(p->openmp_version);
+  w.key("thp_mode");
+  w.value(p->thp_mode);
   w.end_object();
 }
 

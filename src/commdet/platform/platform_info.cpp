@@ -32,6 +32,14 @@ std::string openmp_version_string() {
 
 }  // namespace
 
+std::string selected_thp_mode(const std::string& setting) {
+  const auto open = setting.find('[');
+  const auto close = setting.find(']', open);
+  if (open == std::string::npos || close == std::string::npos || close == open + 1)
+    return "unknown";
+  return setting.substr(open + 1, close - open - 1);
+}
+
 PlatformInfo detect_platform() {
   PlatformInfo info;
   info.logical_cpus = static_cast<int>(sysconf(_SC_NPROCESSORS_ONLN));
@@ -55,6 +63,11 @@ PlatformInfo detect_platform() {
     }
   }
   if (info.cpu_model.empty()) info.cpu_model = "unknown";
+
+  std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string thp_setting;
+  std::getline(thp, thp_setting);
+  info.thp_mode = selected_thp_mode(thp_setting);
   return info;
 }
 
@@ -66,7 +79,8 @@ std::string format_platform_table(const PlatformInfo& info) {
      << ")\n"
      << "Clock (reported): " << info.cpu_mhz << " MHz\n"
      << "RAM:              " << (static_cast<double>(info.total_ram_bytes) / (1024.0 * 1024.0 * 1024.0))
-     << " GiB\n";
+     << " GiB\n"
+     << "THP mode:         " << info.thp_mode << "\n";
   return os.str();
 }
 

@@ -15,7 +15,12 @@ struct PlatformInfo {
   double cpu_mhz = 0.0;         // nominal/reported frequency
   std::int64_t total_ram_bytes = 0;
   std::string openmp_version;   // from _OPENMP date macro
+  std::string thp_mode;         // transparent huge pages: always / madvise / never / unknown
 };
+
+/// The selected word of a sysfs THP setting ("always [madvise] never" ->
+/// "madvise"), or "unknown" when none is bracketed.
+[[nodiscard]] std::string selected_thp_mode(const std::string& setting);
 
 /// Detects the current host from /proc and the OpenMP runtime.
 [[nodiscard]] PlatformInfo detect_platform();

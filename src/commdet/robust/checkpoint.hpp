@@ -270,9 +270,9 @@ template <VertexId V>
   g.bucket_end = r.read_i64_array<EdgeId>();
   g.self_weight = r.read_i64_array<Weight>();
   g.volume = r.read_i64_array<Weight>();
-  g.efirst = r.read_i64_array<V>();
-  g.esecond = r.read_i64_array<V>();
-  g.eweight = r.read_i64_array<Weight>();
+  g.efirst = r.read_i64_array<V, BigVector<V>>();
+  g.esecond = r.read_i64_array<V, BigVector<V>>();
+  g.eweight = r.read_i64_array<Weight, BigVector<Weight>>();
 
   st.community = r.read_i64_array<V>();
   if (flags & 1u) st.vertex_count = r.read_i64_array<std::int64_t>();

@@ -72,10 +72,11 @@ ScoreSummary score_edges(const E& edges, const G& g, const S& scorer,
   return sum;
 }
 
-/// Fills `scores[e]` for every edge of g.  `scores` is resized to match.
-template <VertexId V, EdgeScorer S>
+/// Fills `scores[e]` for every edge of g.  `scores` (a BigVector, or any
+/// std::vector) is resized to match.
+template <VertexId V, EdgeScorer S, typename A>
 ScoreSummary score_edges(const CommunityGraph<V>& g, const S& scorer,
-                         std::vector<Score>& scores) {
+                         std::vector<Score, A>& scores) {
   COMMDET_FAULT_POINT(fault::kScore, Phase::kScore);
   scores.resize(static_cast<std::size_t>(g.num_edges()));
   return score_edges(g, g, scorer, std::span<Score>(scores));

@@ -127,12 +127,12 @@ template <VertexId V>
     // block itself.
     obs::ScopedSpan scatter_span("contract.scatter");
     scatter_span.attr("edges", static_cast<std::int64_t>(gcount));
-    std::vector<V> group_second;
-    std::vector<Weight> group_weight;
+    BigVector<V> group_second;
+    BigVector<Weight> group_weight;
     auto& into = out.shards[static_cast<std::size_t>(gs)];
     const bool one_block = ge - gs == 1;
-    std::vector<V>& second = one_block ? into.esecond : group_second;
-    std::vector<Weight>& weight = one_block ? into.eweight : group_weight;
+    BigVector<V>& second = one_block ? into.esecond : group_second;
+    BigVector<Weight>& weight = one_block ? into.eweight : group_weight;
     second.resize(static_cast<std::size_t>(gcount));
     weight.resize(static_cast<std::size_t>(gcount));
     if (!one_block) {

@@ -55,6 +55,7 @@
 #include "commdet/graph/edge_list.hpp"
 #include "commdet/io/snapshot.hpp"
 #include "commdet/obs/metrics.hpp"
+#include "commdet/util/big_array.hpp"
 #include "commdet/util/parallel.hpp"
 #include "commdet/util/prefix_sum.hpp"
 #include "commdet/util/types.hpp"
@@ -125,9 +126,9 @@ struct ShardBlock {
 
   std::vector<EdgeId> bucket_begin;  // local index (v - lo)
   std::vector<EdgeId> bucket_end;
-  std::vector<V> efirst;   // global ids; efirst[e] in [lo, hi)
-  std::vector<V> esecond;  // global ids, may be remote
-  std::vector<Weight> eweight;
+  BigVector<V> efirst;   // global ids; efirst[e] in [lo, hi)
+  BigVector<V> esecond;  // global ids, may be remote
+  BigVector<Weight> eweight;
 
   /// Sorted unique remote endpoints referenced by this block's edges —
   /// the exact set of vertices whose volumes a multi-node port would
@@ -166,9 +167,9 @@ struct ShardBlock {
   void drop_arrays() noexcept {
     std::vector<EdgeId>().swap(bucket_begin);
     std::vector<EdgeId>().swap(bucket_end);
-    std::vector<V>().swap(efirst);
-    std::vector<V>().swap(esecond);
-    std::vector<Weight>().swap(eweight);
+    BigVector<V>().swap(efirst);
+    BigVector<V>().swap(esecond);
+    BigVector<Weight>().swap(eweight);
     std::vector<V>().swap(ghosts);
   }
 };
@@ -247,9 +248,9 @@ struct ShardedGraph {
                   "shard block range mismatch in " + b.spill_path);
     b.bucket_begin = r.read_i64_array<EdgeId>();
     b.bucket_end = r.read_i64_array<EdgeId>();
-    b.efirst = r.read_i64_array<V>();
-    b.esecond = r.read_i64_array<V>();
-    b.eweight = r.read_i64_array<Weight>();
+    b.efirst = r.read_i64_array<V, BigVector<V>>();
+    b.esecond = r.read_i64_array<V, BigVector<V>>();
+    b.eweight = r.read_i64_array<Weight, BigVector<Weight>>();
     b.ghosts = r.read_i64_array<V>();
     r.finish();
     b.ne = static_cast<EdgeId>(b.efirst.size());

@@ -21,10 +21,12 @@ namespace commdet {
 /// Writes map(x) for each element x of `input` satisfying `pred` into a
 /// new vector, preserving their relative order (`map` defaults to the
 /// identity).  `pred` runs twice per element.  The output does not depend
-/// on the thread count.
-template <typename T, typename Pred, typename Map = std::identity>
+/// on the thread count.  `Out` names the output's vector type (e.g. a
+/// BigVector); by default a std::vector of map's result.
+template <typename Out = void, typename T, typename Pred, typename Map = std::identity>
 [[nodiscard]] auto parallel_compact(std::span<const T> input, Pred&& pred, Map&& map = {}) {
-  std::vector<std::remove_cvref_t<std::invoke_result_t<Map&, const T&>>> output;
+  using Mapped = std::remove_cvref_t<std::invoke_result_t<Map&, const T&>>;
+  std::conditional_t<std::is_void_v<Out>, std::vector<Mapped>, Out> output;
   const auto n = static_cast<std::int64_t>(input.size());
   if (n == 0) return output;
   const std::int64_t nblocks = std::clamp<std::int64_t>(n >> 13, 1, parallel_threads());

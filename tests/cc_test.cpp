@@ -166,7 +166,7 @@ TYPED_TEST(CcTypedTest, LargestComponentTieTakesSmallestRoot) {
   small.add(1, 2);
   const auto picked = largest_component(small);
   ASSERT_EQ(picked.num_vertices, 3);
-  EXPECT_EQ(picked.edges, (std::vector<RawEdge<V>>{{1, 2, 1}, {0, 1, 1}}));
+  EXPECT_EQ(picked.edges, (BigVector<RawEdge<V>>{{1, 2, 1}, {0, 1, 1}}));
 }
 
 TYPED_TEST(CcTypedTest, LargestComponentGiantCoversNearlyAllVertices) {

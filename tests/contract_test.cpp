@@ -393,8 +393,8 @@ TEST(CopyOutBuckets, InPlaceMatchesCopy) {
       const EdgeId copied_ne = copy_out_buckets(offs, base, lens, std::span<const V32>(second),
                                                 std::span<const Weight>(weight), lo, copied);
       CommunityGraph<V32> in_place;
-      in_place.esecond = second;
-      in_place.eweight = weight;
+      in_place.esecond.assign(second.begin(), second.end());
+      in_place.eweight.assign(weight.begin(), weight.end());
       const EdgeId in_place_ne = copy_out_buckets(
           offs, base, lens, std::span<const V32>(in_place.esecond),
           std::span<const Weight>(in_place.eweight), lo, in_place);

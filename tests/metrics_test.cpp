@@ -96,6 +96,17 @@ TEST(Platform, DetectsPlausibleHost) {
   const auto table = format_platform_table(info);
   EXPECT_NE(table.find("Processor:"), std::string::npos);
   EXPECT_NE(table.find("OpenMP"), std::string::npos);
+  EXPECT_FALSE(info.thp_mode.empty());
+  EXPECT_NE(table.find("THP mode:"), std::string::npos);
+}
+
+TEST(Platform, ThpModeIsTheBracketedWord) {
+  EXPECT_EQ(selected_thp_mode("always [madvise] never"), "madvise");
+  EXPECT_EQ(selected_thp_mode("[always] madvise never"), "always");
+  EXPECT_EQ(selected_thp_mode("always madvise [never]"), "never");
+  EXPECT_EQ(selected_thp_mode(""), "unknown");
+  EXPECT_EQ(selected_thp_mode("always madvise never"), "unknown");
+  EXPECT_EQ(selected_thp_mode("always [] never"), "unknown");
 }
 
 }  // namespace

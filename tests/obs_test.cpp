@@ -598,6 +598,7 @@ TEST(ObsReport, DetectionReportValidatesAndCarriesSchema) {
   for (const char* key :
        {"\"schema\":\"commdet-run-report\"", "\"schema_version\":1",
         "\"kind\":\"detection\"", "\"threads\":", "\"info\":", "\"platform\":",
+        "\"thp_mode\":",
         "\"graph\":", "\"num_vertices\":", "\"degree_distribution\":",
         "\"result\":", "\"num_communities\":", "\"modularity\":", "\"coverage\":",
         "\"termination\":", "\"degraded\":false", "\"error\":null",
