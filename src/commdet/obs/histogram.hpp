@@ -48,7 +48,9 @@ inline constexpr int kHistogramBuckets = 64;
 /// per-bucket counts plus the value sum for the mean.
 struct HistogramSnapshot {
   std::array<std::int64_t, kHistogramBuckets> buckets{};
-  std::int64_t sum = 0;  // negative inputs clamp to 0 before summing
+  // Negative inputs clamp to 0 before summing; the sum wraps in two's
+  // complement, as the shards' fetch_add does.
+  std::int64_t sum = 0;
 
   [[nodiscard]] static constexpr int bucket_index(std::int64_t v) noexcept {
     if (v <= 0) return 0;
@@ -94,7 +96,8 @@ struct HistogramSnapshot {
 
   void merge(const HistogramSnapshot& other) noexcept {
     for (int i = 0; i < kHistogramBuckets; ++i) buckets[i] += other.buckets[i];
-    sum += other.sum;
+    sum = static_cast<std::int64_t>(static_cast<std::uint64_t>(sum) +
+                                    static_cast<std::uint64_t>(other.sum));
   }
 };
 
@@ -139,12 +142,14 @@ class Histogram {
   /// sample while they run (each fetch-add is atomic).
   [[nodiscard]] HistogramSnapshot snapshot() const noexcept {
     HistogramSnapshot out;
+    std::uint64_t sum = 0;
     for (const auto& s : shards_) {
       for (int i = 0; i < kHistogramBuckets; ++i)
         out.buckets[i] += s.buckets[static_cast<std::size_t>(i)].load(
             std::memory_order_relaxed);
-      out.sum += s.sum.load(std::memory_order_relaxed);
+      sum += static_cast<std::uint64_t>(s.sum.load(std::memory_order_relaxed));
     }
+    out.sum = static_cast<std::int64_t>(sum);
     return out;
   }
 

@@ -166,8 +166,7 @@ template <VertexId V>
       const auto len = std::span<const EdgeId>(accumulated.new_len).subspan(at, owned);
       blk.ne = copy_out_buckets(off.subspan(at, owned), base, len, std::span<const V>(second),
                                 std::span<const Weight>(weight), blk.lo, blk);
-      blk.refresh_ghosts();
-      sized(blk.bucket_begin, blk.bucket_end, blk.efirst, blk.esecond, blk.eweight, blk.ghosts);
+      sized(blk.bucket_begin, blk.bucket_end, blk.efirst, blk.esecond, blk.eweight);
       group_out += blk.ne;
       out.release(ds);
     }

@@ -4,16 +4,17 @@
 // This is the edge-sweep matcher run block by block: every sweep leases
 // each shard that still has live edges in turn and runs
 // EdgeSweepOffers::bid over them, bidding each positive edge into BOTH
-// endpoints' best-offer slots.  For a cut edge one of those endpoints is
-// a ghost, so the bid crosses the shard boundary — here through the
-// shared offer slots, in a multi-node port as an offer message to the
-// ghost's owner.  The reconciliation that makes this safe is the same
-// one that makes the shared-memory matcher deterministic: offers are
-// compared under a TOTAL order (score, then a hash tie-break —
-// Offer::beats), so each slot's final content is the maximum over all
-// offers regardless of arrival order, and the mutual-best reconcile then
-// agrees on every cut edge from both sides without negotiation.  Consequently the matching is bit-identical
-// for ANY shard count, including K=1 versus the unsharded
+// endpoints' best-offer slots.  For a cut edge the second endpoint is
+// remote (a ghost, owned by another shard), so the bid crosses the shard
+// boundary — here through the shared offer slots, in a multi-node port
+// as an offer message to the remote endpoint's owner.  The
+// reconciliation that makes this safe is the same one that makes the
+// shared-memory matcher deterministic: offers are compared under a TOTAL
+// order (score, then a hash tie-break — Offer::beats), so each slot's
+// final content is the maximum over all offers regardless of arrival
+// order, and the mutual-best reconcile then agrees on every cut edge
+// from both sides without negotiation.  Consequently the matching is
+// bit-identical for ANY shard count, including K=1 versus the unsharded
 // EdgeSweepMatcher (which re-bids every edge each sweep; the edges the
 // bitmaps below skip could not bid there either).
 //

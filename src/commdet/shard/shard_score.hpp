@@ -3,10 +3,10 @@
 //
 // Each shard scores its own edge block with the unsharded kernel
 // (score_edges over one edge range); the only remote data an edge needs
-// is its second endpoint's (volume, self weight) — exactly the
-// ghost-vertex state exchange point 1 of the protocol (DESIGN.md)
-// delivers in a multi-node port.  Here the per-vertex arrays are shared
-// memory, so the "exchange" is a read.
+// is its second endpoint's (volume, self weight).  When that endpoint is
+// remote (a ghost), exchange point 1 of the protocol (DESIGN.md)
+// delivers this state in a multi-node port.  Here the per-vertex arrays
+// are shared memory, so the "exchange" is a read.
 //
 // Scores are NOT materialized: the driver only needs the summary here,
 // and the matcher recomputes scores inline per sweep — the out-of-core

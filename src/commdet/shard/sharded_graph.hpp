@@ -8,17 +8,18 @@
 // produces (buckets contiguous in vertex order, each sorted by second
 // endpoint), restricted to [lo, hi).  An edge whose second endpoint is
 // owned elsewhere is a *cut edge*: it is stored exactly once, in its
-// hashed-first owner's block, and the remote endpoint appears in that
-// block's ghost list.  Concatenating the blocks in shard order therefore
-// reproduces the unsharded canonical graph bit for bit (assemble()), and
-// every cut edge's weight is counted exactly once across shards.
+// hashed-first owner's block.  Concatenating the blocks in shard order
+// therefore reproduces the unsharded canonical graph bit for bit
+// (assemble()), and every cut edge's weight is counted exactly once
+// across shards.
 //
 // Ownership of *per-vertex* state (self weights, volumes) stays in two
 // nv-long arrays indexed globally.  In this single-process skeleton they
 // are shared memory; in a multi-node port each shard would own its
-// slice and the ghost lists delimit exactly which remote entries must be
-// exchanged before scoring (exchange point 1 of the protocol described
-// in DESIGN.md).
+// slice, and the remote entries a block reads — the ghosts it must
+// fetch before scoring (exchange point 1 of the protocol described in
+// DESIGN.md) — are the remote ids in its esecond, derived when needed
+// and not stored.
 //
 // Out-of-core mode: with ShardSpill enabled, a block's arrays live in a
 // crash-atomic io/snapshot.hpp container on disk while inactive.  A
@@ -69,7 +70,7 @@ struct ShardSpill {
   std::string directory;
 };
 
-inline constexpr std::uint32_t kShardBlockSnapshotVersion = 41;
+inline constexpr std::uint32_t kShardBlockSnapshotVersion = 43;
 inline constexpr std::uint32_t kShardStageSnapshotVersion = 42;
 
 namespace detail {
@@ -130,11 +131,6 @@ struct ShardBlock {
   BigVector<V> esecond;  // global ids, may be remote
   BigVector<Weight> eweight;
 
-  /// Sorted unique remote endpoints referenced by this block's edges —
-  /// the exact set of vertices whose volumes a multi-node port would
-  /// fetch before scoring, and whose match offers cross the boundary.
-  std::vector<V> ghosts;
-
   EdgeId ne = 0;  // edge count; valid while spilled
   bool resident = true;
   bool spilled_valid = false;  // the on-disk copy matches the arrays
@@ -151,17 +147,8 @@ struct ShardBlock {
 
   [[nodiscard]] std::size_t array_bytes() const noexcept {
     return bucket_begin.size() * sizeof(EdgeId) + bucket_end.size() * sizeof(EdgeId) +
-           (efirst.size() + esecond.size() + ghosts.size()) * sizeof(V) +
+           (efirst.size() + esecond.size()) * sizeof(V) +
            eweight.size() * sizeof(Weight);
-  }
-
-  /// Rebuilds the ghost list from the current edge arrays.
-  void refresh_ghosts() {
-    ghosts.clear();
-    for (const V s : esecond)
-      if (s < lo || s >= hi) ghosts.push_back(s);
-    std::sort(ghosts.begin(), ghosts.end());
-    ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
   }
 
   void drop_arrays() noexcept {
@@ -170,7 +157,6 @@ struct ShardBlock {
     BigVector<V>().swap(efirst);
     BigVector<V>().swap(esecond);
     BigVector<Weight>().swap(eweight);
-    std::vector<V>().swap(ghosts);
   }
 };
 
@@ -251,7 +237,6 @@ struct ShardedGraph {
     b.efirst = r.read_i64_array<V, BigVector<V>>();
     b.esecond = r.read_i64_array<V, BigVector<V>>();
     b.eweight = r.read_i64_array<Weight, BigVector<Weight>>();
-    b.ghosts = r.read_i64_array<V>();
     r.finish();
     b.ne = static_cast<EdgeId>(b.efirst.size());
     b.resident = true;
@@ -325,7 +310,6 @@ struct ShardedGraph {
     w.write_i64_array(b.efirst);
     w.write_i64_array(b.esecond);
     w.write_i64_array(b.eweight);
-    w.write_i64_array(b.ghosts);
     w.commit();
     b.spilled_valid = true;
     if (obs::Counter* c = obs::counter("shard.spill.writes")) c->add(1);
@@ -419,7 +403,6 @@ template <VertexId V>
     b.ne = copy_out_buckets(begin.subspan(static_cast<std::size_t>(b.lo), owned), 0,
                             std::span<const EdgeId>(len), std::span<const V>(g.esecond),
                             std::span<const Weight>(g.eweight), b.lo, b);
-    b.refresh_ghosts();
     out.release(s);
   }
   return out;
@@ -593,7 +576,6 @@ class ShardedGraphBuilder {
     });
 
     b.ne = static_cast<EdgeId>(ne);
-    b.refresh_ghosts();
     graph_.release(s);
   }
 
@@ -652,7 +634,6 @@ template <VertexId V>
     b.efirst.swap(merged.efirst);
     b.esecond.swap(merged.esecond);
     b.eweight.swap(merged.eweight);
-    b.refresh_ghosts();
     b.spilled_valid = false;
     lease.close();
   }

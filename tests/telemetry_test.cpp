@@ -179,12 +179,15 @@ TEST(TelemetryHistogramConcurrent, ParallelRecordMatchesSerialReference) {
     for (const std::int64_t v : values[static_cast<std::size_t>(t)]) h.record(v);
   });
 
+  // The sum wraps like the histogram's: add in uint64, convert once.
   obs::HistogramSnapshot expect;
+  std::uint64_t expect_sum = 0;
   for (const auto& vs : values)
     for (const std::int64_t v : vs) {
       ++expect.buckets[static_cast<std::size_t>(obs::HistogramSnapshot::bucket_index(v))];
-      expect.sum += v > 0 ? v : 0;
+      expect_sum += static_cast<std::uint64_t>(v > 0 ? v : 0);
     }
+  expect.sum = static_cast<std::int64_t>(expect_sum);
 
   const obs::HistogramSnapshot got = h.snapshot();
   EXPECT_EQ(got.sum, expect.sum);
